@@ -124,7 +124,7 @@ pub struct RunConfig {
     pub scale: Scale,
     /// Base seed; all randomness is derived from it deterministically.
     pub seed: u64,
-    /// Worker threads (`None` = available parallelism).
+    /// Worker threads (`None` = `bitdissem_pool::effective_parallelism()`).
     pub threads: Option<usize>,
     /// Replication engine for aggregate convergence batches.
     #[serde(default)]

@@ -35,6 +35,7 @@ use bitdissem_core::GTable;
 use bitdissem_obs::columnar::Block;
 use bitdissem_obs::Event;
 use bitdissem_stats::{LogHistogram, Summary};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -286,8 +287,14 @@ fn quantile_line(h: &LogHistogram) -> String {
 #[derive(Debug, Default)]
 struct BatchAccum {
     meta: Option<BatchMeta>,
-    /// `rep → round → ones`.
-    rounds: BTreeMap<u64, BTreeMap<u64, u64>>,
+    /// `rep → [(round, ones)]` in arrival order; sorted (last write wins)
+    /// only at analysis, and only for a replica whose rounds did not
+    /// arrive strictly increasing.
+    rounds: BTreeMap<u64, Vec<(u64, u64)>>,
+    /// Round events recorded, and the largest round label among them:
+    /// together they decide whether per-round residuals fit a dense vector.
+    round_events: usize,
+    max_round: u64,
     /// `(rep, converged, rounds, elapsed_us)`.
     finished: Vec<(u64, bool, u64, u64)>,
 }
@@ -342,7 +349,10 @@ impl TraceAccumulator {
 
     /// Records one `RoundCompleted` observation in the current batch.
     pub fn add_round(&mut self, rep: u64, round: u64, ones: u64) {
-        self.current.rounds.entry(rep).or_default().insert(round, ones);
+        let current = &mut self.current;
+        current.rounds.entry(rep).or_default().push((round, ones));
+        current.round_events += 1;
+        current.max_round = current.max_round.max(round);
     }
 
     /// Records one `ReplicationFinished` result in the current batch.
@@ -508,26 +518,26 @@ fn check_conformance(accum: &BatchAccum) -> Option<Conformance> {
     let a_min = (2.0 * -JUMP_FAILURE_BUDGET.ln() / nf).sqrt();
 
     let mut conf = Conformance::default();
-    // `round → (sum of residuals, transition count)` for the drift check.
-    let mut residuals: BTreeMap<u64, (f64, usize)> = BTreeMap::new();
+    let mut residuals = Residuals::for_batch(accum);
 
-    for (&rep, by_round) in &accum.rounds {
+    // Replicas in ascending label order, each one's rounds ascending: the
+    // order every residual sum and violation list is built in.
+    for (&rep, observed) in &accum.rounds {
+        let observed = by_round(observed);
         // Seed the observed trajectory with X_0 from the header: the
         // round-label convention is that event `r` carries `X_r`, so the
         // initial configuration is exactly the header's `x0`.
-        let mut trajectory = by_round.clone();
-        trajectory.entry(0).or_insert(meta.x0);
-        let mut iter = trajectory.iter().peekable();
-        while let (Some((&t, &x_t)), Some(&(&t_next, &x_next))) = (iter.next(), iter.peek()) {
+        let seed = (observed.first().map(|&(t, _)| t) != Some(0)).then_some((0, meta.x0));
+        let mut prev = None;
+        for (t_next, x_next) in seed.into_iter().chain(observed.iter().copied()) {
+            let Some((t, x_t)) = prev.replace((t_next, x_next)) else { continue };
             if t_next != t + 1 {
                 continue; // strided trace: not a one-step transition
             }
             conf.adjacent_pairs += 1;
 
             // Prop 5: accumulate the drift residual for this round.
-            let entry = residuals.entry(t).or_insert((0.0, 0));
-            entry.0 += x_next as f64 - x_t as f64 - bias.drift_at(x_t);
-            entry.1 += 1;
+            residuals.add(t, x_next as f64 - x_t as f64 - bias.drift_at(x_t));
 
             // Prop 4: check the jump when the concentration bound bites.
             if x_t == 0 || x_t >= n {
@@ -546,7 +556,7 @@ fn check_conformance(accum: &BatchAccum) -> Option<Conformance> {
         }
     }
 
-    for (&round, &(sum, m)) in &residuals {
+    for (round, sum, m) in residuals.into_rounds() {
         conf.drift_rounds_checked += 1;
         let mean = sum / m as f64;
         let band = 1.0 + DRIFT_Z * (nf / (4.0 * m as f64)).sqrt();
@@ -560,6 +570,68 @@ fn check_conformance(accum: &BatchAccum) -> Option<Conformance> {
         }
     }
     Some(conf)
+}
+
+/// One replica's observations sorted by round, the last write winning on
+/// a repeated round. Borrowed as-is when the rounds already arrived
+/// strictly increasing, as every engine writes them.
+fn by_round(observed: &[(u64, u64)]) -> Cow<'_, [(u64, u64)]> {
+    if observed.windows(2).all(|w| w[0].0 < w[1].0) {
+        return Cow::Borrowed(observed);
+    }
+    let mut sorted = observed.to_vec();
+    sorted.sort_by_key(|&(round, _)| round); // stable: arrival order within a round
+    sorted.dedup_by(|later, kept| {
+        let repeat = later.0 == kept.0;
+        if repeat {
+            kept.1 = later.1;
+        }
+        repeat
+    });
+    Cow::Owned(sorted)
+}
+
+/// Per-round `(sum of residuals, transition count)` for the drift check.
+/// Dense by round when the batch's round labels are compact — every
+/// engine trace — and a map otherwise, so a stray huge label cannot size
+/// a vector.
+enum Residuals {
+    Dense(Vec<(f64, usize)>),
+    Sparse(BTreeMap<u64, (f64, usize)>),
+}
+
+impl Residuals {
+    fn for_batch(accum: &BatchAccum) -> Self {
+        let compact = accum.max_round <= 4 * accum.round_events as u64 + 1024;
+        match usize::try_from(accum.max_round) {
+            Ok(max) if compact => Residuals::Dense(vec![(0.0, 0); max + 1]),
+            _ => Residuals::Sparse(BTreeMap::new()),
+        }
+    }
+
+    fn add(&mut self, round: u64, residual: f64) {
+        let entry = match self {
+            // An adjacent pair's source round lies below the batch maximum.
+            Residuals::Dense(v) => &mut v[round as usize],
+            Residuals::Sparse(m) => m.entry(round).or_insert((0.0, 0)),
+        };
+        entry.0 += residual;
+        entry.1 += 1;
+    }
+
+    /// `(round, sum, count)` for every round with a transition, ascending.
+    fn into_rounds(self) -> Vec<(u64, f64, usize)> {
+        match self {
+            Residuals::Dense(v) => (0u64..)
+                .zip(v)
+                .filter(|(_, (_, m))| *m > 0)
+                .map(|(round, (sum, m))| (round, sum, m))
+                .collect(),
+            Residuals::Sparse(m) => {
+                m.into_iter().map(|(round, (sum, m))| (round, sum, m)).collect()
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -723,6 +795,136 @@ mod tests {
         assert!(a.batches[1].meta.is_some());
         assert_eq!(a.skipped_lines, 2);
         assert!(a.render().contains("undecodable"), "{}", a.render());
+    }
+
+    /// The analyzer's previous grouping, kept as an oracle: `rep → round →
+    /// ones` maps (last write wins), each trajectory seeded with `x0` at
+    /// round 0, residuals summed per round in a map.
+    fn btreemap_conformance(
+        meta: &BatchMeta,
+        rounds: &BTreeMap<u64, BTreeMap<u64, u64>>,
+    ) -> Conformance {
+        let table = GTable::new(meta.g0.clone(), meta.g1.clone()).unwrap();
+        let bias = BiasPolynomial::from_table(&table, meta.n, meta.protocol.clone());
+        let (n, nf, ell) = (meta.n, meta.n as f64, meta.ell as usize);
+        let a_min = (2.0 * -JUMP_FAILURE_BUDGET.ln() / nf).sqrt();
+        let mut conf = Conformance::default();
+        let mut residuals: BTreeMap<u64, (f64, usize)> = BTreeMap::new();
+        for (&rep, by_round) in rounds {
+            let mut trajectory = by_round.clone();
+            trajectory.entry(0).or_insert(meta.x0);
+            let mut iter = trajectory.iter().peekable();
+            while let (Some((&t, &x_t)), Some(&(&t_next, &x_next))) = (iter.next(), iter.peek()) {
+                if t_next != t + 1 {
+                    continue;
+                }
+                conf.adjacent_pairs += 1;
+                let entry = residuals.entry(t).or_insert((0.0, 0));
+                entry.0 += x_next as f64 - x_t as f64 - bias.drift_at(x_t);
+                entry.1 += 1;
+                if x_t == 0 || x_t >= n {
+                    continue;
+                }
+                let c = x_t as f64 / nf;
+                if (1.0 - c).powi(ell as i32 + 1) < a_min {
+                    continue;
+                }
+                conf.jump_checked += 1;
+                let bound = y_constant(c, ell) * nf;
+                if x_next as f64 > bound {
+                    conf.jump_violations.push(JumpViolation { rep, round: t, x_t, x_next, bound });
+                }
+            }
+        }
+        for (&round, &(sum, m)) in &residuals {
+            conf.drift_rounds_checked += 1;
+            let mean = sum / m as f64;
+            let band = 1.0 + DRIFT_Z * (nf / (4.0 * m as f64)).sqrt();
+            if mean.abs() > band {
+                conf.drift_violations.push(DriftViolation {
+                    round,
+                    transitions: m,
+                    mean_residual: mean,
+                    band,
+                });
+            }
+        }
+        conf
+    }
+
+    #[test]
+    fn flat_vectors_reproduce_the_btreemap_analysis() {
+        let n = 400;
+        // A headerless prefix, then one voter batch (x0 = 1) whose rounds
+        // arrive out of order and with repeats.
+        let mut events = vec![round(0, 1, 3), round(0, 2, 4), finished(0, 2), voter_meta(n)];
+        // Every replica drifts +20 per round from 50 (round 1) to 150
+        // (round 6), with no round-0 event, so X_0 comes from the header.
+        let x = |r: u64| 30 + 20 * r;
+        let reps = 60u64;
+        for r in 1..=6 {
+            for rep in 0..reps {
+                // Even replicas deliver their rounds in reverse.
+                let r = if rep % 2 == 0 { 7 - r } else { r };
+                events.push(round(rep, r, x(r)));
+            }
+        }
+        // Rep 7 repeats round 3, with the correct value last: no violation.
+        events.push(round(7, 3, 390));
+        events.push(round(7, 3, x(3)));
+        // Rep 11's round 4 is doctored above the Prop-4 bound (≈280 from
+        // x = 90); rep 12 repeats round 5 with the doctored value last.
+        events.push(round(11, 4, 395));
+        events.push(round(12, 5, x(5)));
+        events.push(round(12, 5, 399));
+        // A strided replica: no adjacent pairs at all.
+        for r in [10, 20, 30] {
+            events.push(round(80, r, 10 * r));
+        }
+        for rep in (0..reps).chain([80]) {
+            events.push(finished(rep, 6));
+        }
+
+        // The oracle's input: the batch's round events, last write winning.
+        let mut maps: BTreeMap<u64, BTreeMap<u64, u64>> = BTreeMap::new();
+        for ev in &events[4..] {
+            if let Event::RoundCompleted { rep, round, ones, .. } = ev {
+                maps.entry(*rep).or_default().insert(*round, *ones);
+            }
+        }
+        let a = analyze(&events, 0);
+        assert_eq!(a.events, events.len());
+        assert_eq!(a.batches.len(), 2);
+        assert!(a.batches[0].meta.is_none() && a.batches[0].conformance.is_none());
+        assert_eq!(a.batches[0].replications, 1);
+        let b = &a.batches[1];
+        assert_eq!((b.replications, b.converged, b.timed_out), (61, 61, 0));
+        let conf = b.conformance.as_ref().unwrap();
+        let expected = btreemap_conformance(b.meta.as_ref().unwrap(), &maps);
+        assert_eq!(conf, &expected);
+
+        // The oracle agrees on the right things, not just with itself.
+        assert_eq!(conf.adjacent_pairs, 6 * reps as usize);
+        let jumps: Vec<(u64, u64, u64)> =
+            conf.jump_violations.iter().map(|v| (v.rep, v.round, v.x_next)).collect();
+        assert_eq!(jumps, vec![(11, 3, 395), (12, 4, 399)]);
+        let drift: Vec<u64> = conf.drift_violations.iter().map(|v| v.round).collect();
+        assert_eq!(drift, vec![0, 1, 2, 3, 4, 5]);
+        // Round 0 is the seeded X_0 = 1 → X_1 = 50 step, exactly +49.
+        assert_eq!(conf.drift_violations[0].mean_residual, 49.0);
+        assert_eq!(conf.drift_violations[0].transitions, reps as usize);
+    }
+
+    #[test]
+    fn huge_round_labels_fall_back_to_sparse_residuals() {
+        // A stray label near 2^40 must not size a dense per-round vector.
+        let t = 1u64 << 40;
+        let events = vec![voter_meta(256), round(0, t, 100), round(0, t + 1, 101), finished(0, 2)];
+        let a = analyze(&events, 0);
+        let conf = a.batches[0].conformance.as_ref().unwrap();
+        let maps = BTreeMap::from([(0, BTreeMap::from([(t, 100), (t + 1, 101)]))]);
+        assert_eq!(conf, &btreemap_conformance(a.batches[0].meta.as_ref().unwrap(), &maps));
+        assert_eq!((conf.adjacent_pairs, conf.drift_rounds_checked), (1, 1));
     }
 
     #[test]

@@ -539,7 +539,10 @@ where
 
 /// [`measure_crossing`] with an observability handle (progress ticks and
 /// stream counters; crossing runs emit no per-round events since the
-/// stopping rule differs from consensus).
+/// stopping rule differs from consensus). With metrics on, the freshly
+/// simulated replications feed the run counters: rounds are the summed
+/// censored crossing times, samples are `ℓ·n` per round, and retired
+/// replications are the ones that crossed.
 #[must_use]
 pub fn measure_crossing_observed<P>(
     obs: &Obs,
@@ -560,7 +563,7 @@ where
         || batch_key("cross", protocol, witness.start(), budget, seed),
         reps,
         |missing| {
-            replicate_indices_observed(missing, seed, threads, obs, |mut rng, _| {
+            let fresh = replicate_indices_observed(missing, seed, threads, obs, |mut rng, _| {
                 let mut sim = AggregateSim::with_kernel(Arc::clone(&kernel), witness.start());
                 for t in 0..=budget {
                     if witness.crossed(sim.configuration().ones()) {
@@ -572,7 +575,16 @@ where
                     sim.step_round(&mut rng);
                 }
                 Outcome::TimedOut { rounds: budget }
-            })
+            });
+            if obs.metrics_on() {
+                let rounds: u64 = fresh.iter().map(Outcome::rounds_censored).sum();
+                let samples_per_round =
+                    (kernel.sample_size() as u64).saturating_mul(witness.start().n());
+                obs.metrics().add_rounds(rounds);
+                obs.metrics().add_samples(rounds.saturating_mul(samples_per_round));
+                obs.metrics().add_retired(fresh.iter().filter(|o| o.is_converged()).count() as u64);
+            }
+            fresh
         },
     )
 }
@@ -636,6 +648,25 @@ mod tests {
         let w = LowerBoundWitness::construct(&stay, 64).unwrap();
         let xs = measure_crossing(&stay, &w, 3, 50, 2, Some(1));
         assert!(xs.iter().all(|o| !o.is_converged()));
+    }
+
+    #[test]
+    fn crossing_feeds_the_run_counters() {
+        // Voter crosses its witness threshold in some runs and not in
+        // others within this budget, so both outcome kinds are counted.
+        let voter = Voter::new(1).unwrap();
+        let n = 64;
+        let w = LowerBoundWitness::construct(&voter, n).unwrap();
+        let obs = Obs::none().with_metrics();
+        let xs = measure_crossing_observed(&obs, &voter, &w, 24, 40, 5, Some(2));
+        let rounds: u64 = xs.iter().map(Outcome::rounds_censored).sum();
+        let crossed = xs.iter().filter(|o| o.is_converged()).count() as u64;
+        assert!(0 < crossed && crossed < 24, "{crossed} of 24 crossed");
+        let c = obs.metrics().snapshot();
+        assert_eq!(c.rounds_simulated, rounds);
+        assert_eq!(c.opinion_samples, rounds * n);
+        assert_eq!(c.replicas_retired, crossed);
+        assert_eq!(c.replications, 24);
     }
 
     #[test]

@@ -190,6 +190,21 @@ struct Buffers {
     telemetry_sample: Vec<(u32, u64, u64, u64)>,
 }
 
+impl Buffers {
+    /// Empties every row buffer, keeping the allocations for the next
+    /// block.
+    fn clear(&mut self) {
+        self.experiment_started.clear();
+        self.experiment_finished.clear();
+        self.batch_started.clear();
+        self.replication_finished.clear();
+        self.round_completed.clear();
+        self.consensus_exited.clear();
+        self.manifest.clear();
+        self.telemetry_sample.clear();
+    }
+}
+
 struct ColumnarInner {
     out: Box<dyn Write + Send>,
     buffers: Buffers,
@@ -201,6 +216,8 @@ struct ColumnarInner {
     /// Interned entries not yet written to a dictionary block, in id
     /// order (ids are dense, so `pending` always ends at `dict.len()`).
     pending_dict: Vec<String>,
+    /// Block payload scratch, reused by every sealed block.
+    payload: Vec<u8>,
 }
 
 /// Binary columnar [`EventSink`]: buffers events per type and writes
@@ -239,6 +256,7 @@ impl ColumnarSink {
                 open_type: None,
                 dict: HashMap::new(),
                 pending_dict: Vec::new(),
+                payload: Vec::new(),
             }),
         })
     }
@@ -271,8 +289,9 @@ impl ColumnarInner {
     }
 
     /// Serializes and writes the open run's block (plus any pending
-    /// dictionary block), clearing the buffer. Errors are swallowed: the
-    /// trace just ends early, like the JSONL sink.
+    /// dictionary block), clearing the row buffer but keeping its
+    /// allocation. Errors are swallowed: the trace just ends early, like
+    /// the JSONL sink.
     fn seal(&mut self) {
         let Some(type_id) = self.open_type else { return };
         let count = self.buffered_rows(type_id);
@@ -282,17 +301,18 @@ impl ColumnarInner {
         // Dictionary entries referenced by this block must land first.
         if !self.pending_dict.is_empty() {
             let first_id = self.dict.len() - self.pending_dict.len();
-            let mut payload = Vec::new();
+            self.payload.clear();
             for (i, s) in self.pending_dict.iter().enumerate() {
-                put_u32(&mut payload, u32::try_from(first_id + i).expect("dense ids"));
-                put_bytes(&mut payload, s.as_bytes());
+                put_u32(&mut self.payload, u32::try_from(first_id + i).expect("dense ids"));
+                put_bytes(&mut self.payload, s.as_bytes());
             }
             let n = self.pending_dict.len();
             self.pending_dict.clear();
-            let _ = write_block(&mut self.out, ty::DICT, n, &payload);
+            let _ = write_block(&mut self.out, ty::DICT, n, &self.payload);
         }
-        let payload = serialize_payload(type_id, &mut self.buffers);
-        let _ = write_block(&mut self.out, type_id, count, &payload);
+        serialize_payload(type_id, &self.buffers, &mut self.payload);
+        self.buffers.clear();
+        let _ = write_block(&mut self.out, type_id, count, &self.payload);
     }
 
     fn push(&mut self, event: &Event) {
@@ -359,7 +379,14 @@ impl ColumnarInner {
 
 impl EventSink for ColumnarSink {
     fn emit(&self, event: &Event) {
-        self.inner.lock().expect("columnar sink poisoned").push(event);
+        self.emit_all(std::slice::from_ref(event));
+    }
+
+    fn emit_all(&self, events: &[Event]) {
+        let mut inner = self.inner.lock().expect("columnar sink poisoned");
+        for event in events {
+            inner.push(event);
+        }
     }
 
     fn flush(&self) {
@@ -417,72 +444,72 @@ fn put_f64s(out: &mut Vec<u8>, xs: &[f64]) {
     }
 }
 
-/// Serializes (and drains) the buffer for `type_id` into a column
-/// payload: each field's values for every row, field by field.
-fn serialize_payload(type_id: u8, buffers: &mut Buffers) -> Vec<u8> {
-    let mut p = Vec::new();
+/// Serializes the buffer for `type_id` into the column payload `p`
+/// (replacing its contents): each field's values for every row, field by
+/// field.
+fn serialize_payload(type_id: u8, buffers: &Buffers, p: &mut Vec<u8>) {
+    p.clear();
     match type_id {
         ty::EXPERIMENT_STARTED => {
-            let rows = std::mem::take(&mut buffers.experiment_started);
-            rows.iter().for_each(|r| put_u32(&mut p, r.0));
-            rows.iter().for_each(|r| put_u32(&mut p, r.1));
-            rows.iter().for_each(|r| put_u64(&mut p, r.2));
-            rows.iter().for_each(|r| put_u32(&mut p, r.3));
+            let rows = &buffers.experiment_started;
+            rows.iter().for_each(|r| put_u32(p, r.0));
+            rows.iter().for_each(|r| put_u32(p, r.1));
+            rows.iter().for_each(|r| put_u64(p, r.2));
+            rows.iter().for_each(|r| put_u32(p, r.3));
         }
         ty::EXPERIMENT_FINISHED => {
-            let rows = std::mem::take(&mut buffers.experiment_finished);
-            rows.iter().for_each(|r| put_u32(&mut p, r.0));
+            let rows = &buffers.experiment_finished;
+            rows.iter().for_each(|r| put_u32(p, r.0));
             rows.iter().for_each(|r| p.push(r.1));
-            rows.iter().for_each(|r| put_u64(&mut p, r.2));
+            rows.iter().for_each(|r| put_u64(p, r.2));
         }
         ty::BATCH_STARTED => {
-            let rows = std::mem::take(&mut buffers.batch_started);
-            rows.iter().for_each(|r| put_u32(&mut p, r.kind));
-            rows.iter().for_each(|r| put_u32(&mut p, r.protocol));
-            rows.iter().for_each(|r| put_u64(&mut p, r.ell));
-            rows.iter().for_each(|r| put_u64(&mut p, r.n));
-            rows.iter().for_each(|r| put_u64(&mut p, r.x0));
+            let rows = &buffers.batch_started;
+            rows.iter().for_each(|r| put_u32(p, r.kind));
+            rows.iter().for_each(|r| put_u32(p, r.protocol));
+            rows.iter().for_each(|r| put_u64(p, r.ell));
+            rows.iter().for_each(|r| put_u64(p, r.n));
+            rows.iter().for_each(|r| put_u64(p, r.x0));
             rows.iter().for_each(|r| p.push(r.source_opinion));
-            rows.iter().for_each(|r| put_u64(&mut p, r.reps));
-            rows.iter().for_each(|r| put_u64(&mut p, r.budget));
-            rows.iter().for_each(|r| put_u64(&mut p, r.seed));
-            rows.iter().for_each(|r| put_f64s(&mut p, &r.g0));
-            rows.iter().for_each(|r| put_f64s(&mut p, &r.g1));
+            rows.iter().for_each(|r| put_u64(p, r.reps));
+            rows.iter().for_each(|r| put_u64(p, r.budget));
+            rows.iter().for_each(|r| put_u64(p, r.seed));
+            rows.iter().for_each(|r| put_f64s(p, &r.g0));
+            rows.iter().for_each(|r| put_f64s(p, &r.g1));
         }
         ty::REPLICATION_FINISHED => {
-            let rows = std::mem::take(&mut buffers.replication_finished);
-            rows.iter().for_each(|r| put_u64(&mut p, r.0));
+            let rows = &buffers.replication_finished;
+            rows.iter().for_each(|r| put_u64(p, r.0));
             rows.iter().for_each(|r| p.push(r.1));
-            rows.iter().for_each(|r| put_u64(&mut p, r.2));
-            rows.iter().for_each(|r| put_u64(&mut p, r.3));
+            rows.iter().for_each(|r| put_u64(p, r.2));
+            rows.iter().for_each(|r| put_u64(p, r.3));
         }
         ty::ROUND_COMPLETED => {
-            let rows = std::mem::take(&mut buffers.round_completed);
-            rows.iter().for_each(|r| put_u64(&mut p, r.0));
-            rows.iter().for_each(|r| put_u64(&mut p, r.1));
-            rows.iter().for_each(|r| put_u64(&mut p, r.2));
+            let rows = &buffers.round_completed;
+            rows.iter().for_each(|r| put_u64(p, r.0));
+            rows.iter().for_each(|r| put_u64(p, r.1));
+            rows.iter().for_each(|r| put_u64(p, r.2));
             rows.iter().for_each(|r| p.push(r.3));
         }
         ty::CONSENSUS_EXITED => {
-            let rows = std::mem::take(&mut buffers.consensus_exited);
-            rows.iter().for_each(|r| put_u64(&mut p, r.0));
-            rows.iter().for_each(|r| put_u64(&mut p, r.1));
-            rows.iter().for_each(|r| put_u64(&mut p, r.2));
+            let rows = &buffers.consensus_exited;
+            rows.iter().for_each(|r| put_u64(p, r.0));
+            rows.iter().for_each(|r| put_u64(p, r.1));
+            rows.iter().for_each(|r| put_u64(p, r.2));
         }
         ty::MANIFEST => {
-            let rows = std::mem::take(&mut buffers.manifest);
-            rows.iter().for_each(|r| put_bytes(&mut p, r.as_bytes()));
+            let rows = &buffers.manifest;
+            rows.iter().for_each(|r| put_bytes(p, r.as_bytes()));
         }
         ty::TELEMETRY_SAMPLE => {
-            let rows = std::mem::take(&mut buffers.telemetry_sample);
-            rows.iter().for_each(|r| put_u32(&mut p, r.0));
-            rows.iter().for_each(|r| put_u64(&mut p, r.1));
-            rows.iter().for_each(|r| put_u64(&mut p, r.2));
-            rows.iter().for_each(|r| put_u64(&mut p, r.3));
+            let rows = &buffers.telemetry_sample;
+            rows.iter().for_each(|r| put_u32(p, r.0));
+            rows.iter().for_each(|r| put_u64(p, r.1));
+            rows.iter().for_each(|r| put_u64(p, r.2));
+            rows.iter().for_each(|r| put_u64(p, r.3));
         }
         _ => unreachable!("serialize_payload called with dict/unknown type"),
     }
-    p
 }
 
 fn write_block<W: Write + ?Sized>(
@@ -1209,6 +1236,11 @@ mod tests {
     }
 
     fn encode(events: &[Event]) -> Vec<u8> {
+        encode_with(|sink| events.iter().for_each(|ev| sink.emit(ev)))
+    }
+
+    /// The bytes a sink writes when `emit` drives it.
+    fn encode_with(emit: impl FnOnce(&ColumnarSink)) -> Vec<u8> {
         let buf: Arc<Mutex<Vec<u8>>> = Arc::default();
         struct Shared(Arc<Mutex<Vec<u8>>>);
         impl Write for Shared {
@@ -1221,12 +1253,56 @@ mod tests {
             }
         }
         let sink = ColumnarSink::from_writer(Box::new(Shared(Arc::clone(&buf)))).unwrap();
-        for ev in events {
-            sink.emit(ev);
-        }
+        emit(&sink);
         drop(sink);
         let bytes = buf.lock().unwrap().clone();
         bytes
+    }
+
+    #[test]
+    fn emit_all_writes_the_same_bytes_in_any_chunking() {
+        // Every event kind, then runs long enough to seal on the row cap,
+        // broken by finishes so blocks also seal on type switches.
+        let mut events = sample_events();
+        for i in 0..(2 * BLOCK_ROWS as u64 + 5) {
+            events.push(Event::RoundCompleted {
+                rep: i % 7,
+                round: i,
+                ones: i % 97,
+                source_opinion: 1,
+            });
+            if i % 1000 == 999 {
+                let outcome = ReplicationOutcome::Converged;
+                events.push(Event::ReplicationFinished {
+                    rep: i,
+                    outcome,
+                    rounds: i,
+                    elapsed_us: 3,
+                });
+            }
+        }
+        events.extend(sample_events());
+        let one_by_one = encode(&events);
+        let decoded: Vec<Event> =
+            ColumnarReader::from_bytes(one_by_one.clone()).unwrap().events().collect();
+        assert_eq!(decoded, events);
+        for chunk in [1, 2, 3, 7, 64, BLOCK_ROWS - 1, BLOCK_ROWS + 1, events.len()] {
+            let chunked = encode_with(|sink| events.chunks(chunk).for_each(|c| sink.emit_all(c)));
+            assert!(chunked == one_by_one, "chunk {chunk} wrote different bytes");
+        }
+        // Irregular chunk sizes, including empty calls.
+        let ragged = encode_with(|sink| {
+            let mut rest = &events[..];
+            for size in [0, 5, 1, 0, 300, 11].into_iter().cycle() {
+                if rest.is_empty() {
+                    break;
+                }
+                let (head, tail) = rest.split_at(size.min(rest.len()));
+                sink.emit_all(head);
+                rest = tail;
+            }
+        });
+        assert!(ragged == one_by_one, "ragged chunking wrote different bytes");
     }
 
     #[test]

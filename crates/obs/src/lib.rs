@@ -192,6 +192,12 @@ impl Obs {
         self.sink.emit(event);
     }
 
+    /// Sends `events` to the sink in order, in one call (one lock
+    /// acquisition on the locking sinks). Gate on [`Obs::active`] first.
+    pub fn emit_all(&self, events: &[Event]) {
+        self.sink.emit_all(events);
+    }
+
     /// The metrics block (always present; only populated when
     /// [`Obs::metrics_on`]).
     #[must_use]

@@ -22,6 +22,15 @@ pub trait EventSink: Send + Sync {
     /// Records one event.
     fn emit(&self, event: &Event);
 
+    /// Records `events` in order, as if each were passed to
+    /// [`EventSink::emit`]. Sinks behind a lock override this to take the
+    /// lock once per call instead of once per event.
+    fn emit_all(&self, events: &[Event]) {
+        for event in events {
+            self.emit(event);
+        }
+    }
+
     /// Flushes any buffered output. Default: no-op.
     fn flush(&self) {}
 }
@@ -107,11 +116,17 @@ impl JsonlSink {
 
 impl EventSink for JsonlSink {
     fn emit(&self, event: &Event) {
+        self.emit_all(std::slice::from_ref(event));
+    }
+
+    fn emit_all(&self, events: &[Event]) {
         let mut writer = self.writer.lock().expect("jsonl sink poisoned");
         // An I/O error mid-trace (e.g. disk full) must not abort the
         // simulation; the trace just ends early.
-        let _ = writer.write_all(event.to_json().as_bytes());
-        let _ = writer.write_all(b"\n");
+        for event in events {
+            let _ = writer.write_all(event.to_json().as_bytes());
+            let _ = writer.write_all(b"\n");
+        }
     }
 
     fn flush(&self) {

@@ -19,14 +19,14 @@
 //! regardless of batch composition, retirement order, or chunking. The
 //! `batched_matches_solo_bit_for_bit` test pins this.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use bitdissem_core::{Configuration, Kernel};
-use bitdissem_obs::{Event, LatencyId, Obs, ReplicationOutcome, Timer};
-use bitdissem_pool::Pool;
+use bitdissem_obs::Obs;
 
 use crate::env::EnvSchedule;
-use crate::rng::{replication_seed, rng_from, SimRng};
+use crate::lockstep::{self, Lanes, LockStep};
+use crate::rng::{rng_from, SimRng};
 use crate::roundplan::RoundPlanCache;
 use crate::run::Outcome;
 
@@ -228,13 +228,7 @@ impl BatchedAggregateSim {
     /// for the rest.
     #[must_use]
     pub fn outcomes(&self, budget: u64) -> Vec<Outcome> {
-        self.converged_at
-            .iter()
-            .map(|c| match *c {
-                Some(rounds) => Outcome::Converged { rounds },
-                None => Outcome::TimedOut { rounds: budget },
-            })
-            .collect()
+        lockstep::outcomes(&self.converged_at, budget)
     }
 
     /// Runs until every replica has converged or `budget` rounds have
@@ -283,7 +277,7 @@ impl BatchedAggregateSim {
         obs: &Obs,
         reps: &[u64],
     ) -> Vec<Outcome> {
-        self.run_observed_inner(budget, None, obs, reps)
+        lockstep::run_observed(self, budget, None, obs, reps)
     }
 
     /// [`BatchedAggregateSim::run_to_consensus_env`] with the same
@@ -301,127 +295,7 @@ impl BatchedAggregateSim {
         obs: &Obs,
         reps: &[u64],
     ) -> Vec<Outcome> {
-        self.run_observed_inner(budget, Some(env), obs, reps)
-    }
-
-    fn run_observed_inner(
-        &mut self,
-        budget: u64,
-        env: Option<&EnvSchedule>,
-        obs: &Obs,
-        reps: &[u64],
-    ) -> Vec<Outcome> {
-        assert_eq!(reps.len(), self.batch_size(), "one trace label per replica");
-        if !obs.active() && !obs.metrics_on() {
-            return match env {
-                Some(env) => self.run_to_consensus_env(budget, env),
-                None => self.run_to_consensus(budget),
-            };
-        }
-
-        let timer = Timer::start();
-        let mut perturbations = 0u64;
-        if obs.active() {
-            // Replicas already at consensus finish at round 0, before any
-            // round event — same shape as the solo loop.
-            for (rep, &label) in reps.iter().enumerate() {
-                if self.converged_at[rep] == Some(0) {
-                    obs.emit(&Event::ReplicationFinished {
-                        rep: label,
-                        outcome: ReplicationOutcome::Converged,
-                        rounds: 0,
-                        elapsed_us: timer.elapsed_us(),
-                    });
-                }
-            }
-        }
-        while self.live() > 0 && self.round < budget {
-            if let Some(env) = env {
-                perturbations += self.perturb_round(env);
-            }
-            // Sampled 1-in-8: a round is microseconds, so timing every
-            // pass would itself cost a few percent (see
-            // LATENCY_SAMPLE_EVERY).
-            let pass_start = (obs.metrics_on()
-                && self.round.is_multiple_of(bitdissem_obs::LATENCY_SAMPLE_EVERY))
-            .then(std::time::Instant::now);
-            self.step_round();
-            if let Some(start) = pass_start {
-                obs.metrics().record_latency(
-                    LatencyId::RoundPass,
-                    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                );
-            }
-            if !obs.active() {
-                continue;
-            }
-            // Re-read after the step: a source flip mid-run changes the
-            // opinion the round events must carry.
-            let source_opinion = self.z as u8;
-            let r = self.round;
-            if obs.wants_round(r) {
-                // Still-live replicas report their post-round state; the
-                // replicas retired *this* round report the consensus they
-                // just reached (the solo loop emits that round too).
-                for pos in 0..self.live_rep.len() {
-                    obs.emit(&Event::RoundCompleted {
-                        rep: reps[self.live_rep[pos]],
-                        round: r,
-                        ones: self.live_ones[pos],
-                        source_opinion,
-                    });
-                }
-            }
-            for (rep, &label) in reps.iter().enumerate() {
-                if self.converged_at[rep] == Some(r) {
-                    if obs.wants_round(r) {
-                        obs.emit(&Event::RoundCompleted {
-                            rep: label,
-                            round: r,
-                            ones: self.ones_by_rep[rep],
-                            source_opinion,
-                        });
-                    }
-                    obs.emit(&Event::ReplicationFinished {
-                        rep: label,
-                        outcome: ReplicationOutcome::Converged,
-                        rounds: r,
-                        elapsed_us: timer.elapsed_us(),
-                    });
-                }
-            }
-        }
-        if obs.active() {
-            for pos in 0..self.live_rep.len() {
-                obs.emit(&Event::ReplicationFinished {
-                    rep: reps[self.live_rep[pos]],
-                    outcome: ReplicationOutcome::TimedOut,
-                    rounds: budget,
-                    elapsed_us: timer.elapsed_us(),
-                });
-            }
-        }
-        if obs.metrics_on() {
-            let samples_per_round = (self.kernel.sample_size() as u64).saturating_mul(self.n);
-            let mut rounds_total: u64 = 0;
-            let mut samples_total: u64 = 0;
-            for c in &self.converged_at {
-                // Without retirement every replica runs the full loop, not
-                // just up to its first consensus hit.
-                let steps = if self.retire_on_consensus { c.unwrap_or(budget) } else { self.round };
-                rounds_total += steps;
-                samples_total =
-                    samples_total.saturating_add(steps.saturating_mul(samples_per_round));
-            }
-            obs.metrics().add_rounds(rounds_total);
-            obs.metrics().add_samples(samples_total);
-            let retired = self.converged_at.iter().filter(|c| c.is_some()).count();
-            obs.metrics().add_retired(retired as u64);
-            if env.is_some() {
-                obs.metrics().add_perturbations(perturbations);
-            }
-        }
-        self.outcomes(budget)
+        lockstep::run_observed(self, budget, Some(env), obs, reps)
     }
 }
 
@@ -495,70 +369,50 @@ fn replicate_batched_inner(
     env: Option<&EnvSchedule>,
     obs: &Obs,
 ) -> Vec<Outcome> {
-    if indices.is_empty() {
-        return Vec::new();
-    }
-    let tasks = indices.len();
-    let cap = threads
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, std::num::NonZero::get))
-        .clamp(1, tasks);
     // Aim for ~4 chunks per worker so stealing can balance convergence-time
     // skew; chunk boundaries never affect results.
-    let chunk = tasks.div_ceil(cap * 4).clamp(MIN_CHUNK, MAX_CHUNK);
+    let chunk = |tasks: usize, cap: usize| tasks.div_ceil(cap * 4).clamp(MIN_CHUNK, MAX_CHUNK);
+    lockstep::replicate_sharded(indices, base_seed, threads, budget, env, obs, chunk, |seeds| {
+        BatchedAggregateSim::new(Arc::clone(kernel), start, seeds)
+    })
+}
 
-    let _scope = obs.scope("replicate");
-    if obs.metrics_on() {
-        obs.metrics().add_rng_streams(tasks as u64);
-        obs.metrics().add_replications(tasks as u64);
+impl LockStep for BatchedAggregateSim {
+    fn lanes(&self) -> Lanes<'_> {
+        Lanes {
+            round: self.round,
+            z: self.z,
+            live_rep: &self.live_rep,
+            live_ones: &self.live_ones,
+            ones_by_rep: &self.ones_by_rep,
+            converged_at: &self.converged_at,
+            retire_on_consensus: self.retire_on_consensus,
+        }
     }
 
-    let slots: Mutex<Vec<Option<Outcome>>> = Mutex::new(vec![None; tasks]);
-    let stats = Pool::global().run_chunks(tasks, chunk, cap, &|range| {
-        // Batch-level latency span (one per lock-step chunk), distinct
-        // from the per-replication "replication" span of the reference
-        // engine.
-        let _span = obs.span("replication_batch");
-        let chunk_indices = &indices[range.clone()];
-        let seeds: Vec<u64> =
-            chunk_indices.iter().map(|&rep| replication_seed(base_seed, rep as u64)).collect();
-        let labels: Vec<u64> = chunk_indices.iter().map(|&rep| rep as u64).collect();
-        let mut batch = BatchedAggregateSim::new(Arc::clone(kernel), start, &seeds);
-        let outcomes = match env {
-            Some(env) => batch.run_to_consensus_env_observed(budget, env, obs, &labels),
-            None => batch.run_to_consensus_observed(budget, obs, &labels),
-        };
-        {
-            let mut slots = slots.lock().expect("batched replication slots poisoned");
-            for (offset, outcome) in outcomes.into_iter().enumerate() {
-                let slot = &mut slots[range.start + offset];
-                debug_assert!(slot.is_none(), "replication produced twice");
-                *slot = Some(outcome);
-            }
-        }
-        if let Some(progress) = obs.progress() {
-            progress.tick(chunk_indices.len() as u64);
-        }
-    });
-    if obs.metrics_on() {
-        obs.metrics().add_pool_batch(stats.tasks, stats.steals);
+    fn step_round(&mut self) {
+        BatchedAggregateSim::step_round(self);
     }
 
-    slots
-        .into_inner()
-        .expect("batched replication slots poisoned")
-        .into_iter()
-        .map(|r| r.expect("every replication index is filled"))
-        .collect()
+    fn perturb_round(&mut self, env: &EnvSchedule) -> u64 {
+        BatchedAggregateSim::perturb_round(self, env)
+    }
+
+    fn samples_per_round(&self) -> u64 {
+        (self.kernel.sample_size() as u64).saturating_mul(self.n)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::aggregate::AggregateSim;
+    use crate::rng::replication_seed;
     use crate::run::{run_to_consensus, Simulator};
     use crate::runner::replicate_indices_observed;
     use bitdissem_core::dynamics::{Minority, Stay, Voter};
     use bitdissem_core::{Opinion, ProtocolExt};
+    use bitdissem_obs::{Event, ReplicationOutcome};
 
     fn kernel_of(protocol: &dyn bitdissem_core::Protocol, n: u64) -> Arc<Kernel> {
         Arc::new(protocol.to_table(n).unwrap().compile().unwrap())

@@ -46,6 +46,7 @@ pub mod consensus;
 pub mod dual;
 pub mod env;
 pub mod hypergeometric;
+mod lockstep;
 pub mod partial;
 pub mod rng;
 mod roundplan;
