@@ -119,16 +119,23 @@ fn table_fingerprint(table: &GTable) -> u64 {
     h
 }
 
+/// Revision of the engines' random streams, part of every checkpoint key.
+/// Bump it whenever an engine's draws change (even when the law does not),
+/// so a log written by an older build can never splice its outcomes into
+/// a run of the new stream. `r2`: opinion-independent rounds take one
+/// `Binomial(n − 1, P)` draw instead of two (DESIGN decision 18).
+const STREAM_REVISION: &str = "r2";
+
 /// Builds the per-batch checkpoint key base (everything but the `#rep`
-/// suffix): the kind tag, the protocol's table fingerprint, and every
-/// parameter the outcome depends on.
+/// suffix): the kind tag, the stream revision, the protocol's table
+/// fingerprint, and every parameter the outcome depends on.
 fn batch_key<P>(kind: &str, protocol: &P, start: Configuration, budget: u64, seed: u64) -> String
 where
     P: Protocol + Sync + ?Sized,
 {
     let table = protocol.to_table(start.n()).expect("valid protocol");
     format!(
-        "{kind}:{fp:016x}:n{n}:z{z}:x{x}:b{budget}:s{seed}",
+        "{kind}:{STREAM_REVISION}:{fp:016x}:n{n}:z{z}:x{x}:b{budget}:s{seed}",
         fp = table_fingerprint(&table),
         n = start.n(),
         z = start.correct().as_bit(),
@@ -650,15 +657,66 @@ mod tests {
         assert!(xs.iter().all(|o| !o.is_converged()));
     }
 
+    /// The budget at which the exact chain's crossing survival
+    /// `P(τ > t)` is nearest ½, and that survival. `τ` is the first round
+    /// at which `w.crossed` holds: the dense chain is iterated with every
+    /// crossed state made absorbing.
+    fn median_crossing_budget(protocol: &dyn Protocol, w: &LowerBoundWitness) -> (u64, f64) {
+        let start = w.start();
+        let chain =
+            bitdissem_markov::AggregateChain::build(protocol, start.n(), start.correct()).unwrap();
+        let rows: Vec<Vec<f64>> = (0..=start.n())
+            .map(|x| {
+                if x < chain.state_lo() || x > chain.state_hi() {
+                    Vec::new()
+                } else {
+                    chain.transition_row(x)
+                }
+            })
+            .collect();
+        let mut dist = vec![0.0; rows.len()];
+        dist[start.ones() as usize] = 1.0;
+        let survival = |dist: &[f64]| {
+            dist.iter()
+                .enumerate()
+                .filter(|&(x, _)| !w.crossed(x as u64))
+                .map(|(_, p)| p)
+                .sum::<f64>()
+        };
+        let mut prev = survival(&dist);
+        for t in 1..=100_000u64 {
+            let mut next = vec![0.0; rows.len()];
+            for (x, &mass) in dist.iter().enumerate() {
+                if mass > 0.0 && !w.crossed(x as u64) {
+                    for (y, &p) in rows[x].iter().enumerate() {
+                        next[y] += mass * p;
+                    }
+                }
+            }
+            dist = next;
+            let s = survival(&dist);
+            if s <= 0.5 {
+                return if 0.5 - s <= prev - 0.5 { (t, s) } else { (t - 1, prev) };
+            }
+            prev = s;
+        }
+        panic!("crossing survival never falls to 1/2");
+    }
+
     #[test]
     fn crossing_feeds_the_run_counters() {
         // Voter crosses its witness threshold in some runs and not in
         // others within this budget, so both outcome kinds are counted.
+        // The budget is the exact chain's median crossing time, so with
+        // survival s the 24 replicas all agree with probability
+        // s²⁴ + (1 − s)²⁴, bounded below 1e-6 for any seed.
         let voter = Voter::new(1).unwrap();
         let n = 64;
         let w = LowerBoundWitness::construct(&voter, n).unwrap();
+        let (budget, s) = median_crossing_budget(&voter, &w);
+        assert!(s.powi(24) + (1.0 - s).powi(24) < 1e-6, "survival {s} at budget {budget}");
         let obs = Obs::none().with_metrics();
-        let xs = measure_crossing_observed(&obs, &voter, &w, 24, 40, 5, Some(2));
+        let xs = measure_crossing_observed(&obs, &voter, &w, 24, budget, 5, Some(2));
         let rounds: u64 = xs.iter().map(Outcome::rounds_censored).sum();
         let crossed = xs.iter().filter(|o| o.is_converged()).count() as u64;
         assert!(0 < crossed && crossed < 24, "{crossed} of 24 crossed");
@@ -1078,5 +1136,35 @@ mod tests {
         assert_ne!(base, batch_key("conv", &voter, other_start, 1000, 5));
         let minority = bitdissem_core::dynamics::Minority::new(3).unwrap();
         assert_ne!(base, batch_key("conv", &minority, start, 1000, 5));
+    }
+
+    #[test]
+    fn checkpoints_from_an_older_stream_are_never_spliced() {
+        // A log written before the stream revision entered the key holds
+        // outcomes drawn from the old two-draw stream; resuming from it
+        // would break bit-identity with an uninterrupted run.
+        use bitdissem_obs::CheckpointLog;
+        use std::sync::Arc;
+        let voter = Voter::new(1).unwrap();
+        let start = Configuration::all_wrong(24, Opinion::One);
+        // The pre-revision format: today's key without the revision token.
+        let old_base = batch_key("conv", &voter, start, 100_000, 5).replacen(
+            &format!(":{STREAM_REVISION}"),
+            "",
+            1,
+        );
+        assert!(old_base.starts_with("conv:") && !old_base.contains(STREAM_REVISION));
+        let log = Arc::new(CheckpointLog::in_memory());
+        let obs = Obs::none().with_metrics().with_checkpoint(Arc::clone(&log));
+        for rep in 0..8 {
+            log.record(&obs.checkpoint_key(&format!("{old_base}#{rep}")), "c:1");
+        }
+        let resumed = measure_convergence_observed(&obs, &voter, start, 8, 100_000, 5, Some(2));
+        assert_eq!(obs.metrics().checkpoint_hits.load(std::sync::atomic::Ordering::Relaxed), 0);
+        assert_eq!(
+            resumed.outcomes(),
+            measure_convergence(&voter, start, 8, 100_000, 5, Some(2)).outcomes()
+        );
+        assert_eq!(log.len(), 16, "fresh outcomes append under the current key");
     }
 }

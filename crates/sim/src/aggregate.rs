@@ -95,7 +95,10 @@ pub fn adoption_probs(table: &GTable, p: f64) -> (f64, f64) {
 /// with probability `P₀(x/n)`, so
 /// `X_{t+1} = z + Bin(x−z, P₁) + Bin(n−x−(1−z), P₀)` — the same law as the
 /// agent-level simulator (ablation A1 checks this), at two binomial draws
-/// per round instead of `n·ℓ` uniform draws.
+/// per round instead of `n·ℓ` uniform draws. When `P₀(x/n)` and
+/// `P₁(x/n)` are bit-equal (every round of an opinion-independent rule
+/// such as Voter or Minority) the round is drawn as the equal-in-law
+/// `z + Bin(n−1, P)`: one binomial draw (DESIGN decision 18).
 ///
 /// # Examples
 ///
@@ -180,7 +183,7 @@ impl Simulator for AggregateSim {
 
     /// The aggregate chain is distributionally equivalent to every agent
     /// drawing `ℓ` samples per round, so the nominal sample count is `ℓ·n`
-    /// even though only two binomial draws are performed. Saturates
+    /// even though only one or two binomial draws are performed. Saturates
     /// instead of overflowing for extreme-`n` nominal accounting.
     fn opinion_samples_per_round(&self) -> u64 {
         (self.kernel.sample_size() as u64).saturating_mul(self.config.n())

@@ -1,7 +1,7 @@
 //! Per-state round-plan cache for the aggregate hot loop.
 //!
 //! For a fixed `(kernel, n, z)` everything a round needs — the adoption
-//! probabilities `(P₀(x/n), P₁(x/n))`, the two binomial counts, and both
+//! probabilities `(P₀(x/n), P₁(x/n))`, the binomial counts, and the
 //! sampler setups — is a pure function of the current ones-count `x`. The
 //! chain revisits a narrow contiguous band of states (hovering around its
 //! drift fixed point, or drifting toward absorption), so a direct-mapped
@@ -10,7 +10,14 @@
 //! where unrelated keys can hash to the same slot and evict each other
 //! every round.
 //!
-//! A hit skips the kernel evaluation *and* both sampler setups; the draw
+//! A round out of `x` is `z + Binomial(x − z, P₁) + Binomial(n − x − (1 − z), P₀)`.
+//! When `P₀(x/n)` and `P₁(x/n)` are bit-equal (always, for rules that
+//! ignore the agent's own opinion, such as Voter and Minority) the `n − 1`
+//! non-source agents are i.i.d. and the round is exactly
+//! `z + Binomial(n − 1, P)`: the plan then holds one sampler instead of
+//! two (DESIGN decision 18).
+//!
+//! A hit skips the kernel evaluation *and* the sampler setups; the draw
 //! code itself is byte-for-byte the one behind
 //! [`sample_binomial`](crate::binomial::sample_binomial), so sampled
 //! values are bit-identical for any rng state.
@@ -34,13 +41,15 @@ struct RoundPlan {
     /// The source opinion this plan was built for (part of the tag: a plan
     /// for `(x, z)` must never serve `(x, 1 − z)`).
     z: u64,
-    /// Non-source agents currently holding the correct opinion.
+    /// Non-source agents currently holding 1 (all `n − 1` of them when
+    /// the round is opinion-independent).
     keep_n: u64,
-    /// Non-source agents currently holding the wrong opinion.
+    /// Non-source agents currently holding 0 (none when the round is
+    /// opinion-independent).
     flip_n: u64,
-    /// Sampler for `Binomial(keep_n, P_z)`.
+    /// Sampler for `Binomial(keep_n, P₁)`.
     keep: Plan,
-    /// Sampler for `Binomial(flip_n, P_{1−z})`.
+    /// Sampler for `Binomial(flip_n, P₀)`.
     flip: Plan,
 }
 
@@ -74,12 +83,14 @@ impl RoundPlanCache {
         self.slots.fill(None);
     }
 
-    /// Advances one replica by one aggregate round: draws the keep/flip
-    /// binomials for state `x` and returns the next ones-count.
+    /// Advances one replica by one aggregate round: draws the binomials
+    /// for state `x` and returns the next ones-count.
     ///
-    /// Draws are bit-identical to two
-    /// [`sample_binomial`](crate::binomial::sample_binomial) calls with
-    /// `(keep_n, P_z)` then `(flip_n, P_{1−z})` on the same rng.
+    /// Draws are bit-identical to one
+    /// [`sample_binomial`](crate::binomial::sample_binomial) call with
+    /// `(n − 1, P)` when `P₀(x/n)` and `P₁(x/n)` are bit-equal, and to two
+    /// calls with `(x − z, P₁)` then `(n − x − (1 − z), P₀)` on the same rng
+    /// otherwise.
     #[inline]
     pub(crate) fn step(
         &mut self,
@@ -94,13 +105,21 @@ impl RoundPlanCache {
             Some(plan) if plan.x == x && plan.z == z => plan,
             _ => {
                 let (p0, p1) = kernel.eval(x as f64 / n as f64);
-                // Environment perturbations can produce the transient states
-                // `x < z` / `x + (1 − z) > n`; clamp into the legal band so
-                // the component sizes never wrap `u64`. The slot keeps the
-                // raw `x` as its tag so lookups still hit.
-                let cx = x.clamp(z, n - (1 - z));
-                let keep_n = cx - z;
-                let flip_n = n - cx - (1 - z);
+                let (keep_n, flip_n) = if p0.to_bits() == p1.to_bits() {
+                    // Opinion-independent round: all n − 1 non-source agents
+                    // adopt 1 with the same probability, so the round is
+                    // exactly `z + Binomial(n − 1, P)` — one draw, and the
+                    // empty flip component is draw-free.
+                    (n - 1, 0)
+                } else {
+                    // Environment perturbations can produce the transient
+                    // states `x < z` / `x + (1 − z) > n`; clamp into the
+                    // legal band so the component sizes never wrap `u64`.
+                    // The slot keeps the raw `x` as its tag so lookups still
+                    // hit.
+                    let cx = x.clamp(z, n - (1 - z));
+                    (cx - z, n - cx - (1 - z))
+                };
                 slot.insert(RoundPlan {
                     x,
                     z,
@@ -124,29 +143,46 @@ mod tests {
     use super::*;
     use crate::binomial::sample_binomial;
     use crate::rng::rng_from;
-    use bitdissem_core::dynamics::Minority;
+    use bitdissem_core::dynamics::{Minority, TwoChoices};
     use bitdissem_core::ProtocolExt;
     use rand::Rng;
 
-    /// The cache's draws must be bit-identical to two `sample_binomial`
+    /// The draws `step` must reproduce with plain `sample_binomial` calls:
+    /// one `(n − 1, P)` draw when the kernel values are bit-equal, the
+    /// keep-then-flip pair otherwise.
+    fn plain_step(kernel: &Kernel, n: u64, z: u64, x: u64, rng: &mut SimRng) -> u64 {
+        let (p0, p1) = kernel.eval(x as f64 / n as f64);
+        if p0.to_bits() == p1.to_bits() {
+            z + sample_binomial(rng, n - 1, p1)
+        } else {
+            z + sample_binomial(rng, x - z, p1) + sample_binomial(rng, n - x - (1 - z), p0)
+        }
+    }
+
+    /// The cache's draws must be bit-identical to plain `sample_binomial`
     /// calls, across repeated visits (cache hits) and band wanderings
-    /// (misses and rebuilds).
+    /// (misses and rebuilds): one call for a symmetric kernel, two for an
+    /// asymmetric one.
     #[test]
     fn step_matches_plain_sampling_bit_for_bit() {
         let n = 256u64;
         let z = 1u64;
-        let kernel = Minority::new(5).unwrap().to_table(n).unwrap().compile().unwrap();
-        let mut cache = RoundPlanCache::new();
-        let mut a = rng_from(42);
-        let mut b = rng_from(42);
-        let mut x = n / 2;
-        for _ in 0..2000 {
-            let next = cache.step(&kernel, n, z, x, &mut a);
-            let (p0, p1) = kernel.eval(x as f64 / n as f64);
-            let keep = sample_binomial(&mut b, x - z, p1);
-            let flip = sample_binomial(&mut b, n - x - (1 - z), p0);
-            assert_eq!(next, z + keep + flip);
-            x = next;
+        let minority = Minority::new(5).unwrap().to_table(n).unwrap().compile().unwrap();
+        let two_choices = TwoChoices::new().to_table(n).unwrap().compile().unwrap();
+        for (kernel, symmetric) in [(&minority, true), (&two_choices, false)] {
+            let mut cache = RoundPlanCache::new();
+            let mut a = rng_from(42);
+            let mut b = rng_from(42);
+            let mut x = n / 2;
+            let mut two_draw_rounds = 0;
+            for _ in 0..2000 {
+                let (p0, p1) = kernel.eval(x as f64 / n as f64);
+                two_draw_rounds += usize::from(p0.to_bits() != p1.to_bits());
+                let next = cache.step(kernel, n, z, x, &mut a);
+                assert_eq!(next, plain_step(kernel, n, z, x, &mut b));
+                x = next;
+            }
+            assert_eq!(two_draw_rounds == 0, symmetric, "{two_draw_rounds} two-draw rounds");
         }
     }
 
@@ -200,22 +236,24 @@ mod tests {
     }
 
     /// States further apart than the slot count alias the same slot; the
-    /// cache must rebuild rather than reuse a stale plan.
+    /// cache must rebuild rather than reuse a stale plan, for one-draw and
+    /// two-draw plans alike.
     #[test]
     fn aliasing_states_rebuild_instead_of_reusing() {
         let n = 2048u64;
         let z = 1u64;
-        let kernel = Minority::new(3).unwrap().to_table(n).unwrap().compile().unwrap();
-        let mut cache = RoundPlanCache::new();
-        // x and x + 512 share a slot.
-        for &x in &[700u64, 700 + 512, 700, 700 + 512] {
-            let mut a = rng_from(9);
-            let mut b = rng_from(9);
-            let next = cache.step(&kernel, n, z, x, &mut a);
-            let (p0, p1) = kernel.eval(x as f64 / n as f64);
-            let keep = sample_binomial(&mut b, x - z, p1);
-            let flip = sample_binomial(&mut b, n - x - (1 - z), p0);
-            assert_eq!(next, z + keep + flip, "x={x}");
+        let minority = Minority::new(3).unwrap().to_table(n).unwrap().compile().unwrap();
+        let two_choices = TwoChoices::new().to_table(n).unwrap().compile().unwrap();
+        for kernel in [&minority, &two_choices] {
+            let mut cache = RoundPlanCache::new();
+            // x and x + 512 share a slot.
+            for &x in &[700u64, 700 + 512, 700, 700 + 512] {
+                let mut a = rng_from(9);
+                let mut b = rng_from(9);
+                let next = cache.step(kernel, n, z, x, &mut a);
+                assert_eq!(next, plain_step(kernel, n, z, x, &mut b), "x={x}");
+                assert_eq!(a.random::<u64>(), b.random::<u64>(), "same draw count at x={x}");
+            }
         }
     }
 }

@@ -13,6 +13,9 @@
 //!    engine tabulates that *sum* — the convolution of the two truncated
 //!    binomial pmfs — as a single Walker/Vose [`AliasTable`], so the per
 //!    replica-round hot path is one SplitMix64 mix plus one alias lookup.
+//!    When `P₀(x/n)` and `P₁(x/n)` are bit-equal the sum is exactly
+//!    `z + Binomial(n − 1, P)`, whose one window is the whole table
+//!    (DESIGN decision 18).
 //! 2. **Lane-friendly loops.** The per-round work splits into flat passes
 //!    (counter words for all live replicas, then draws, with kernel
 //!    evaluations for cache misses batched through the lane-blocked
@@ -77,13 +80,21 @@ impl WideStep {
     /// Compiles the transition out of state `x` given the kernel values
     /// `(P₀(x/n), P₁(x/n))`.
     fn build(n: u64, z: u64, x: u64, p0: f64, p1: f64) -> Self {
-        // An environment perturbation can hand us the transient states
-        // `x < z` (source flipped to 1 while no agent holds 1 yet) or
-        // `x + (1 − z) > n`; clamp `x` into the legal band so the component
-        // sizes below never wrap `u64` (and the step stays within `[z, n]`).
-        let x = x.clamp(z, n - (1 - z));
-        let keep_n = x - z;
-        let flip_n = n - x - (1 - z);
+        let (keep_n, flip_n) = if p0.to_bits() == p1.to_bits() {
+            // Opinion-independent round: exactly `z + Binomial(n − 1, P)`
+            // (DESIGN decision 18). The empty flip component's window is
+            // the point mass `[1.0]`, so the convolution below is one
+            // O(w) pass that copies the `Binomial(n − 1, P)` window.
+            (n - 1, 0)
+        } else {
+            // An environment perturbation can hand us the transient states
+            // `x < z` (source flipped to 1 while no agent holds 1 yet) or
+            // `x + (1 − z) > n`; clamp `x` into the legal band so the
+            // component sizes below never wrap `u64` (and the step stays
+            // within `[z, n]`).
+            let x = x.clamp(z, n - (1 - z));
+            (x - z, n - x - (1 - z))
+        };
         let keep_w = pmf_window(keep_n, p1, MAX_ALIAS_SUPPORT);
         let flip_w = pmf_window(flip_n, p0, MAX_ALIAS_SUPPORT);
         match (keep_w, flip_w) {
@@ -1041,5 +1052,59 @@ mod tests {
             (mw - mb).abs() / mb < 0.35,
             "wide mean {mw} vs batched mean {mb} diverge beyond the smoke band"
         );
+    }
+
+    #[test]
+    fn one_step_law_matches_the_exact_chain() {
+        // One round out of a fixed state, drawn `m` times through the
+        // scalar plan cache and through the compiled wide step, against
+        // the exact transition row of `bitdissem-markov`. By DKW,
+        // P(sup |F_m − F| > ε) ≤ 2·exp(−2mε²), so ε = √(ln(2/α)/(2m)) gives
+        // each of the 18 checks a false-alarm rate of α = 1e-9. Voter and
+        // Minority take the one-draw path, 2-Choices the two-draw path.
+        use crate::rng::rng_from;
+        use crate::roundplan::RoundPlanCache;
+        use bitdissem_core::dynamics::TwoChoices;
+        use bitdissem_core::Protocol;
+        use bitdissem_markov::AggregateChain;
+        let n = 32u64;
+        let m = 20_000u64;
+        let alpha = 1e-9f64;
+        let eps = ((2.0 / alpha).ln() / (2.0 * m as f64)).sqrt();
+        let protocols: Vec<Box<dyn Protocol>> = vec![
+            Box::new(Voter::new(1).unwrap()),
+            Box::new(Minority::new(3).unwrap()),
+            Box::new(TwoChoices::new()),
+        ];
+        for protocol in &protocols {
+            let kernel = kernel_of(protocol.as_ref(), n);
+            let chain = AggregateChain::build(protocol.as_ref(), n, Opinion::One).unwrap();
+            for x in [3u64, 16, 29] {
+                let row = chain.transition_row(x);
+                let (p0, p1) = kernel.eval(x as f64 / n as f64);
+                let step = WideStep::build(n, 1, x, p0, p1);
+                let mut cache = RoundPlanCache::new();
+                let mut scalar = vec![0u64; n as usize + 1];
+                let mut wide = vec![0u64; n as usize + 1];
+                for rep in 0..m {
+                    let stream = replication_seed(0x5EED, rep);
+                    scalar[cache.step(&kernel, n, 1, x, &mut rng_from(stream)) as usize] += 1;
+                    wide[step.apply(counter_rng(stream, 0)) as usize] += 1;
+                }
+                for (engine, counts) in [("scalar", &scalar), ("wide", &wide)] {
+                    let (mut emp, mut exact, mut sup) = (0.0f64, 0.0f64, 0.0f64);
+                    for (&c, &p) in counts.iter().zip(&row) {
+                        emp += c as f64 / m as f64;
+                        exact += p;
+                        sup = sup.max((emp - exact).abs());
+                    }
+                    assert!(
+                        sup <= eps,
+                        "{engine} {} at x={x}: DKW distance {sup:.4} > {eps:.4}",
+                        protocol.name()
+                    );
+                }
+            }
+        }
     }
 }
