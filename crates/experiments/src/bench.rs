@@ -418,7 +418,7 @@ fn bench_kernel_eval(ctx: &BenchCtx, ell: usize) -> BenchResult {
 /// Lock-step batched replication rounds per second (total across the
 /// batch): the default convergence-sweep engine at its natural workload —
 /// many replicas of a hovering Minority chain sharing one kernel and one
-/// sampler-setup memo.
+/// per-state plan table.
 fn bench_batched_rounds(ctx: &BenchCtx) -> BenchResult {
     let n = ctx.scale.pick(1024u64, 4096, 16_384);
     let rounds = ctx.scale.pick(200u64, 1000, 5000);

@@ -72,8 +72,9 @@ impl std::str::FromStr for Scale {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
 pub enum ReplicationEngine {
     /// Lock-step batched simulation: chunks of replicas advance round by
-    /// round through a shared kernel and sampler-setup memo. The fast
-    /// default.
+    /// round through a shared kernel and one dense per-state plan table
+    /// shared by every chunk (a per-chunk plan cache above 2¹⁷ states).
+    /// The fast default; bit-identical to `PerReplica`.
     #[default]
     Batched,
     /// One simulator per replication over the generic pool path. Kept as

@@ -167,9 +167,9 @@ pub fn run_observed(id: &str, cfg: &RunConfig, obs: &Obs) -> Option<ExperimentRe
     // an entire `run --all` sweep without cross-experiment collisions.
     let obs = &obs.clone().with_checkpoint_ns(entry.id);
 
-    let manifest =
-        RunManifest::begin(entry.id, cfg.seed, cfg.scale.name(), cfg.threads.unwrap_or(0))
-            .with_env(cfg.env.map(|e| e.fingerprint()));
+    let threads = cfg.threads.unwrap_or_else(bitdissem_sim::runner::effective_parallelism);
+    let manifest = RunManifest::begin(entry.id, cfg.seed, cfg.scale.name(), threads)
+        .with_env(cfg.env.map(|e| e.fingerprint()));
     // Snapshot the shared counters so the manifest can carry this
     // experiment's *deltas*: summing the counters over all manifests of a
     // run then reconciles exactly with the final telemetry export.
@@ -227,6 +227,17 @@ mod tests {
     #[test]
     fn unknown_id_is_none() {
         assert!(run("zzz", &crate::RunConfig::smoke(1)).is_none());
+    }
+
+    #[test]
+    fn manifest_records_the_resolved_worker_count() {
+        let cfg = crate::RunConfig::smoke(1);
+        assert_eq!(cfg.threads, None);
+        let manifest = run("e5", &cfg).unwrap().manifest.unwrap();
+        assert_eq!(manifest.threads, bitdissem_sim::runner::effective_parallelism() as u64);
+        assert!(manifest.threads >= 1);
+        let pinned = run("e5", &crate::RunConfig { threads: Some(3), ..cfg }).unwrap();
+        assert_eq!(pinned.manifest.unwrap().threads, 3);
     }
 
     #[test]

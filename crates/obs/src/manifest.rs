@@ -14,7 +14,8 @@ pub struct RunManifest {
     pub seed: u64,
     /// Scale name (`smoke` / `standard` / `full`).
     pub scale: String,
-    /// Worker threads used for replication (0 = library default).
+    /// Worker threads used for replication: `--threads` when given,
+    /// otherwise the pool's resolved effective parallelism (never 0).
     pub threads: u64,
     /// Version of the workspace crates that produced the run.
     pub crate_version: String,

@@ -4,10 +4,13 @@
 //! aggregate process one parallel round at a time, in struct-of-arrays
 //! layout: one contiguous `ones` vector and one contiguous RNG vector,
 //! walked linearly per round. All replicas share a single read-only
-//! [`Kernel`] and a single per-state round-plan cache, so when the
-//! replicas cluster in the same narrow band of states — hovering, or near
-//! absorption — almost every round reuses a cached kernel evaluation and
-//! pair of sampler setups.
+//! [`Kernel`] and one dense, immutable plan table per source opinion,
+//! built once per batch — and once per call under the pooled drivers
+//! ([`replicate_batched_observed`], [`replicate_batched_env_observed`]),
+//! whose shards all read it — so a round never evaluates the kernel or
+//! sets up a sampler, wherever the replicas are in the state space (DESIGN
+//! decision 19). Above the table's state cap a batch keeps its own
+//! 512-slot per-state plan cache instead.
 //!
 //! Replicas that reach the correct consensus are **retired** by
 //! `swap_remove`, keeping the live arrays dense; the hot loop never
@@ -27,7 +30,7 @@ use bitdissem_obs::Obs;
 use crate::env::EnvSchedule;
 use crate::lockstep::{self, Lanes, LockStep};
 use crate::rng::{rng_from, SimRng};
-use crate::roundplan::RoundPlanCache;
+use crate::roundplan::{BatchPlans, SharedPlans};
 use crate::run::Outcome;
 
 /// `B` replicas of the aggregate chain stepped in lock-step.
@@ -63,7 +66,7 @@ pub struct BatchedAggregateSim {
     /// schedule that can knock a replica off consensus: consensus is no
     /// longer absorbing, so a retired replica would report a stale state.
     retire_on_consensus: bool,
-    plans: RoundPlanCache,
+    plans: BatchPlans,
 }
 
 impl BatchedAggregateSim {
@@ -79,12 +82,28 @@ impl BatchedAggregateSim {
     /// run — first consensus hits are recorded in `converged_at`, but the
     /// replicas continue stepping (the conformance harness needs the true
     /// post-consensus marginals when an environment schedule is active).
+    ///
+    /// Construction builds the batch's plan table (`n + 1` plans) unless
+    /// `n + 1` exceeds the table's state cap.
     #[must_use]
     pub fn with_retirement(
         kernel: Arc<Kernel>,
         start: Configuration,
         seeds: &[u64],
         retire_on_consensus: bool,
+    ) -> Self {
+        let shared = shared_plans(&kernel, start);
+        Self::with_plans(kernel, start, seeds, retire_on_consensus, shared.as_ref())
+    }
+
+    /// [`BatchedAggregateSim::with_retirement`] reading its round plans
+    /// from `shared`, or from a private cache when it is `None`.
+    fn with_plans(
+        kernel: Arc<Kernel>,
+        start: Configuration,
+        seeds: &[u64],
+        retire_on_consensus: bool,
+        shared: Option<&Arc<SharedPlans>>,
     ) -> Self {
         let n = start.n();
         let z = u64::from(start.correct().as_bit());
@@ -103,7 +122,7 @@ impl BatchedAggregateSim {
             ones_by_rep: vec![start.ones(); b],
             converged_at: vec![None; b],
             retire_on_consensus,
-            plans: RoundPlanCache::new(),
+            plans: BatchPlans::new(shared),
         };
         for (rep, &seed) in seeds.iter().enumerate() {
             if start.ones() == target {
@@ -156,13 +175,10 @@ impl BatchedAggregateSim {
     /// replicas that reached the correct consensus.
     pub fn step_round(&mut self) {
         self.round += 1;
-        for pos in 0..self.live_ones.len() {
-            let x = self.live_ones[pos];
-            let rng = &mut self.live_rngs[pos];
-            let next = self.plans.step(&self.kernel, self.n, self.z, x, rng);
+        self.plans.step_all(&self.kernel, self.n, self.z, &mut self.live_ones, &mut self.live_rngs);
+        for (&rep, &next) in self.live_rep.iter().zip(&self.live_ones) {
             debug_assert!(next <= self.n);
-            self.live_ones[pos] = next;
-            self.ones_by_rep[self.live_rep[pos]] = next;
+            self.ones_by_rep[rep] = next;
         }
         // Retire in a separate dense sweep so the sampling loop stays
         // branch-light; swap_remove keeps the arrays packed.
@@ -299,11 +315,17 @@ impl BatchedAggregateSim {
     }
 }
 
+/// The plan tables of `(kernel, n, z)` for a batch starting at `start`, or
+/// `None` above the table's state cap.
+fn shared_plans(kernel: &Arc<Kernel>, start: Configuration) -> Option<Arc<SharedPlans>> {
+    SharedPlans::new(kernel, start.n(), u64::from(start.correct().as_bit()))
+}
+
 /// Smallest chunk a pool task will step lock-step.
 const MIN_CHUNK: usize = 8;
 /// Largest chunk a pool task will step lock-step. Wide enough to amortize
-/// kernel/plan-cache sharing, narrow enough that work-stealing can balance
-/// heavy-tailed convergence times.
+/// the per-round loop overhead, narrow enough that work-stealing can
+/// balance heavy-tailed convergence times.
 const MAX_CHUNK: usize = 64;
 
 /// Runs the replications named by `indices` through lock-step batches over
@@ -316,6 +338,11 @@ const MAX_CHUNK: usize = 64;
 /// [`replication_seed`], so results are bit-identical to the per-replica
 /// engine (and to any partition of the index set across calls — the
 /// checkpoint-splicing contract), for every thread count and chunk layout.
+///
+/// The call builds one plan table for `(kernel, n, z)` up front (serially)
+/// and every shard reads it through an `Arc`; populations above the
+/// table's state cap keep a per-shard plan cache instead (DESIGN decision
+/// 19).
 ///
 /// # Panics
 ///
@@ -372,8 +399,9 @@ fn replicate_batched_inner(
     // Aim for ~4 chunks per worker so stealing can balance convergence-time
     // skew; chunk boundaries never affect results.
     let chunk = |tasks: usize, cap: usize| tasks.div_ceil(cap * 4).clamp(MIN_CHUNK, MAX_CHUNK);
+    let shared = shared_plans(kernel, start);
     lockstep::replicate_sharded(indices, base_seed, threads, budget, env, obs, chunk, |seeds| {
-        BatchedAggregateSim::new(Arc::clone(kernel), start, seeds)
+        BatchedAggregateSim::with_plans(Arc::clone(kernel), start, seeds, true, shared.as_ref())
     })
 }
 
@@ -410,7 +438,7 @@ mod tests {
     use crate::rng::replication_seed;
     use crate::run::{run_to_consensus, Simulator};
     use crate::runner::replicate_indices_observed;
-    use bitdissem_core::dynamics::{Minority, Stay, Voter};
+    use bitdissem_core::dynamics::{Minority, Stay, TwoChoices, Voter};
     use bitdissem_core::{Opinion, ProtocolExt};
     use bitdissem_obs::{Event, ReplicationOutcome};
 
@@ -452,38 +480,33 @@ mod tests {
         // live replica's ones count equals the solo simulator's state at
         // the same round.
         let n = 200;
-        let voter = Voter::new(3).unwrap();
-        let kernel = kernel_of(&voter, n);
+        let kernel = kernel_of(&Voter::new(3).unwrap(), n);
         let start = Configuration::new(n, Opinion::One, 60).unwrap();
-        let base = 7;
-        let reps = 8usize;
+        assert_tracks_solo_round_by_round(&kernel, start, 500);
+    }
 
+    /// Steps a batch next to solo `AggregateSim`s for up to `rounds` rounds
+    /// and asserts equal states after every round. The batch must read a
+    /// plan table below the state cap and its own cache above it.
+    fn assert_tracks_solo_round_by_round(kernel: &Arc<Kernel>, start: Configuration, rounds: u64) {
+        let (base, reps) = (7, 8usize);
+        let mut batch = BatchedAggregateSim::new(Arc::clone(kernel), start, &seeds_for(base, reps));
+        let tabled = matches!(batch.plans, BatchPlans::Shared(_));
+        assert_eq!(tabled, start.n() < crate::roundplan::TABLE_MAX_STATES, "n={}", start.n());
         let mut solos: Vec<(AggregateSim, SimRng)> = (0..reps)
             .map(|rep| {
-                (
-                    AggregateSim::with_kernel(Arc::clone(&kernel), start),
-                    rng_from(replication_seed(base, rep as u64)),
-                )
+                let sim = AggregateSim::with_kernel(Arc::clone(kernel), start);
+                (sim, rng_from(replication_seed(base, rep as u64)))
             })
             .collect();
-        let mut batch =
-            BatchedAggregateSim::new(Arc::clone(&kernel), start, &seeds_for(base, reps));
-
-        for _round in 0..500 {
-            if batch.live() == 0 {
-                break;
-            }
+        while batch.live() > 0 && batch.round() < rounds {
             batch.step_round();
             for (rep, (sim, rng)) in solos.iter_mut().enumerate() {
                 if !sim.configuration().is_correct_consensus() {
                     sim.step_round(rng);
                 }
-                assert_eq!(
-                    batch.ones_of(rep),
-                    sim.configuration().ones(),
-                    "rep {rep} diverged at round {}",
-                    batch.round()
-                );
+                let round = batch.round();
+                assert_eq!(batch.ones_of(rep), sim.configuration().ones(), "rep {rep} r{round}");
             }
         }
     }
@@ -627,6 +650,108 @@ mod tests {
                 &Obs::none(),
             );
             assert_eq!(driven, solo, "threads={threads}");
+        }
+    }
+
+    /// Voter, Minority(3) and 2-Choices: two one-draw rules and a two-draw
+    /// rule.
+    fn table_protocols() -> Vec<Box<dyn bitdissem_core::Protocol + Sync>> {
+        vec![
+            Box::new(Voter::new(1).unwrap()),
+            Box::new(Minority::new(3).unwrap()),
+            Box::new(TwoChoices::new()),
+        ]
+    }
+
+    #[test]
+    fn shared_tables_match_per_replica_engine_bit_for_bit() {
+        // With tables (n = 256) a batch tracks the solo engine round by
+        // round and the driver reproduces the per-replica engine for every
+        // thread count; at the first n above the table cap the batch falls
+        // back to its cache and still tracks the solo engine.
+        let n = 256;
+        let start = Configuration::new(n, Opinion::One, n / 2).unwrap();
+        let (base, budget) = (5, 4000);
+        let indices: Vec<usize> = (0..24).collect();
+        for protocol in table_protocols() {
+            let kernel = kernel_of(protocol.as_ref(), n);
+            assert_tracks_solo_round_by_round(&kernel, start, 300);
+            let reference = replicate_indices_observed(&indices, base, Some(2), &Obs::none(), {
+                let kernel = Arc::clone(&kernel);
+                move |mut rng, _| {
+                    let mut sim = AggregateSim::with_kernel(Arc::clone(&kernel), start);
+                    run_to_consensus(&mut sim, &mut rng, budget)
+                }
+            });
+            for threads in [1usize, 2, 4] {
+                let driven = replicate_batched_observed(
+                    &kernel,
+                    start,
+                    &indices,
+                    base,
+                    Some(threads),
+                    budget,
+                    &Obs::none(),
+                );
+                assert_eq!(driven, reference, "{} threads={threads}", protocol.name());
+            }
+        }
+
+        let n = crate::roundplan::TABLE_MAX_STATES;
+        let start = Configuration::new(n, Opinion::One, n / 2).unwrap();
+        for protocol in table_protocols() {
+            let kernel = kernel_of(protocol.as_ref(), n);
+            assert_tracks_solo_round_by_round(&kernel, start, 12);
+        }
+    }
+
+    #[test]
+    fn env_flip_and_noise_through_tables_match_solo_env() {
+        // A source flip moves every replica onto the other source's table
+        // (built on the flip), and noise moves states off the chain's
+        // usual path: outcomes and final states must still equal the solo
+        // `run_to_consensus_env`, for every thread count.
+        let n = 256;
+        let start = Configuration::new(n, Opinion::One, 200).unwrap();
+        let env: crate::env::EnvSchedule = "flip@6,noise:0.002".parse().unwrap();
+        let (base, reps, budget) = (41, 16usize, 3000);
+        let (voter, two_choices) = (Voter::new(1).unwrap(), TwoChoices::new());
+        for protocol in [&voter as &dyn bitdissem_core::Protocol, &two_choices] {
+            let kernel = kernel_of(protocol, n);
+            let solo: Vec<(Outcome, u64)> = (0..reps)
+                .map(|rep| {
+                    let mut sim = AggregateSim::with_kernel(Arc::clone(&kernel), start);
+                    let mut rng = rng_from(replication_seed(base, rep as u64));
+                    let outcome =
+                        crate::run::run_to_consensus_env(&mut sim, &env, &mut rng, budget);
+                    (outcome, sim.configuration().ones())
+                })
+                .collect();
+            let outcomes: Vec<Outcome> = solo.iter().map(|&(o, _)| o).collect();
+            assert!(outcomes.iter().any(Outcome::is_converged), "{}", protocol.name());
+
+            let mut batch =
+                BatchedAggregateSim::new(Arc::clone(&kernel), start, &seeds_for(base, reps));
+            assert!(matches!(batch.plans, BatchPlans::Shared(_)), "n is below the cap");
+            assert_eq!(batch.run_to_consensus_env(budget, &env), outcomes);
+            for (rep, &(_, ones)) in solo.iter().enumerate() {
+                assert_eq!(batch.ones_of(rep), ones, "{} rep {rep}", protocol.name());
+            }
+
+            let indices: Vec<usize> = (0..reps).collect();
+            for threads in [1usize, 2, 4] {
+                let driven = replicate_batched_env_observed(
+                    &kernel,
+                    start,
+                    &indices,
+                    base,
+                    Some(threads),
+                    budget,
+                    &env,
+                    &Obs::none(),
+                );
+                assert_eq!(driven, outcomes, "{} threads={threads}", protocol.name());
+            }
         }
     }
 

@@ -1,14 +1,26 @@
-//! Per-state round-plan cache for the aggregate hot loop.
+//! Per-state round plans for the aggregate hot loop.
 //!
 //! For a fixed `(kernel, n, z)` everything a round needs — the adoption
 //! probabilities `(P₀(x/n), P₁(x/n))`, the binomial counts, and the
-//! sampler setups — is a pure function of the current ones-count `x`. The
-//! chain revisits a narrow contiguous band of states (hovering around its
-//! drift fixed point, or drifting toward absorption), so a direct-mapped
-//! cache indexed by the low bits of `x` is collision-free whenever the
-//! band is narrower than the slot count, unlike a `(count, p)`-keyed memo
-//! where unrelated keys can hash to the same slot and evict each other
-//! every round.
+//! sampler setups — is a pure function of the current ones-count `x`.
+//! Two stores hold these plans:
+//!
+//! * [`PlanTable`] — a dense, immutable plan per state `x ∈ 0..=n` for
+//!   the lock-step batched engine, built once per batch (once per
+//!   replication call under the pooled drivers, whose shards all read it
+//!   through [`SharedPlans`]; DESIGN decision 19). Every round is a load;
+//!   nothing is rebuilt.
+//! * [`RoundPlanCache`] — a 512-slot direct-mapped cache indexed by the
+//!   low bits of `x`. It serves the per-replica
+//!   [`AggregateSim`](crate::aggregate::AggregateSim) and batches above
+//!   [`TABLE_MAX_STATES`]. A single chain
+//!   revisits a narrow contiguous band of states (hovering around its
+//!   drift fixed point, or drifting toward absorption), so the cache is
+//!   collision-free whenever the band is narrower than the slot count,
+//!   unlike a `(count, p)`-keyed memo where unrelated keys can hash to the
+//!   same slot and evict each other every round. A batch whose replicas
+//!   spread over the whole state space (Voter on its way to consensus)
+//!   misses almost every round, which is what the table fixes.
 //!
 //! A round out of `x` is `z + Binomial(x − z, P₁) + Binomial(n − x − (1 − z), P₀)`.
 //! When `P₀(x/n)` and `P₁(x/n)` are bit-equal (always, for rules that
@@ -17,30 +29,36 @@
 //! `z + Binomial(n − 1, P)`: the plan then holds one sampler instead of
 //! two (DESIGN decision 18).
 //!
-//! A hit skips the kernel evaluation *and* the sampler setups; the draw
-//! code itself is byte-for-byte the one behind
-//! [`sample_binomial`](crate::binomial::sample_binomial), so sampled
-//! values are bit-identical for any rng state.
+//! Both stores build a state's plans with the same function and draw from
+//! them in the same order, and the draw code itself is byte-for-byte the
+//! one behind [`sample_binomial`](crate::binomial::sample_binomial), so
+//! sampled values are bit-identical for any rng state, whichever store
+//! serves the round.
+
+use std::sync::{Arc, OnceLock};
 
 use bitdissem_core::Kernel;
 
 use crate::binomial::{with_lnfact, Plan};
 use crate::rng::SimRng;
 
-/// Slot count (power of two). The visited band is `O(√n)` wide, so 512
-/// slots are collision-free for populations up to the hundreds of
-/// thousands; beyond that the cache degrades gracefully (distant states
-/// that alias simply rebuild on revisit).
+/// Slot count of [`RoundPlanCache`] (power of two). The band one chain
+/// visits is `O(√n)` wide, so 512 slots are collision-free for
+/// populations up to the hundreds of thousands; beyond that the cache
+/// degrades gracefully (distant states that alias simply rebuild on
+/// revisit).
 const SLOTS: usize = 512;
 
-/// Everything needed to advance one replica from ones-count `x`.
+/// Most states a [`PlanTable`] covers: tables are built for `n + 1 ≤ 2¹⁷`,
+/// i.e. at most 10 MiB of one-draw plans or 21 MiB of two-draw plans per
+/// source opinion. Larger populations keep the per-shard
+/// [`RoundPlanCache`].
+pub(crate) const TABLE_MAX_STATES: u64 = 1 << 17;
+
+/// The binomial counts and sampler setups of one round out of `x`. The
+/// counts always sum to `n − 1`.
 #[derive(Debug, Clone, Copy)]
-struct RoundPlan {
-    /// The state this plan was built for (the slot tag).
-    x: u64,
-    /// The source opinion this plan was built for (part of the tag: a plan
-    /// for `(x, z)` must never serve `(x, 1 − z)`).
-    z: u64,
+struct StatePlans {
     /// Non-source agents currently holding 1 (all `n − 1` of them when
     /// the round is opinion-independent).
     keep_n: u64,
@@ -51,6 +69,39 @@ struct RoundPlan {
     keep: Plan,
     /// Sampler for `Binomial(flip_n, P₀)`.
     flip: Plan,
+}
+
+impl StatePlans {
+    /// Evaluates the kernel at `x` and sets up the round's samplers.
+    fn build(kernel: &Kernel, n: u64, z: u64, x: u64) -> Self {
+        let (p0, p1) = kernel.eval(x as f64 / n as f64);
+        let (keep_n, flip_n) = if p0.to_bits() == p1.to_bits() {
+            // Opinion-independent round: all n − 1 non-source agents adopt 1
+            // with the same probability, so the round is exactly
+            // `z + Binomial(n − 1, P)` — one draw, and the empty flip
+            // component is draw-free.
+            (n - 1, 0)
+        } else {
+            // Environment perturbations can produce the transient states
+            // `x < z` / `x + (1 − z) > n`; clamp into the legal band so the
+            // component sizes never wrap `u64`.
+            let cx = x.clamp(z, n - (1 - z));
+            (cx - z, n - cx - (1 - z))
+        };
+        Self { keep_n, flip_n, keep: Plan::build(keep_n, p1), flip: Plan::build(flip_n, p0) }
+    }
+}
+
+/// Everything needed to advance one replica from ones-count `x`.
+#[derive(Debug, Clone, Copy)]
+struct RoundPlan {
+    /// The state this plan was built for (the slot tag: the raw `x`, also
+    /// for clamped transient states, so lookups still hit).
+    x: u64,
+    /// The source opinion this plan was built for (part of the tag: a plan
+    /// for `(x, z)` must never serve `(x, 1 − z)`).
+    z: u64,
+    plans: StatePlans,
 }
 
 /// Direct-mapped cache of [`RoundPlan`]s, indexed by `x & (SLOTS − 1)`.
@@ -102,33 +153,8 @@ impl RoundPlanCache {
     ) -> u64 {
         let slot = &mut self.slots[(x as usize) & (SLOTS - 1)];
         let plan = match slot {
-            Some(plan) if plan.x == x && plan.z == z => plan,
-            _ => {
-                let (p0, p1) = kernel.eval(x as f64 / n as f64);
-                let (keep_n, flip_n) = if p0.to_bits() == p1.to_bits() {
-                    // Opinion-independent round: all n − 1 non-source agents
-                    // adopt 1 with the same probability, so the round is
-                    // exactly `z + Binomial(n − 1, P)` — one draw, and the
-                    // empty flip component is draw-free.
-                    (n - 1, 0)
-                } else {
-                    // Environment perturbations can produce the transient
-                    // states `x < z` / `x + (1 − z) > n`; clamp into the
-                    // legal band so the component sizes never wrap `u64`.
-                    // The slot keeps the raw `x` as its tag so lookups still
-                    // hit.
-                    let cx = x.clamp(z, n - (1 - z));
-                    (cx - z, n - cx - (1 - z))
-                };
-                slot.insert(RoundPlan {
-                    x,
-                    z,
-                    keep_n,
-                    flip_n,
-                    keep: Plan::build(keep_n, p1),
-                    flip: Plan::build(flip_n, p0),
-                })
-            }
+            Some(plan) if plan.x == x && plan.z == z => &plan.plans,
+            _ => &slot.insert(RoundPlan { x, z, plans: StatePlans::build(kernel, n, z, x) }).plans,
         };
         with_lnfact(n, |lnfact| {
             let keep = plan.keep.sample_with(rng, plan.keep_n, lnfact);
@@ -138,12 +164,146 @@ impl RoundPlanCache {
     }
 }
 
+/// The plans of every state `x ∈ 0..=n` for one `(kernel, n, z)`: entry `x`
+/// holds exactly the [`StatePlans`] that [`RoundPlanCache::step`] builds
+/// for `(x, z)`, and [`PlanTable::step`] draws from them in the same
+/// order, so both draw bit-identical rounds.
+///
+/// Entry `x` keeps the keep plan, and `(flip_n, flip)` only if some state
+/// has a non-empty flip component; `keep_n` is `n − 1 − flip_n`. That is
+/// 80 bytes per state for Voter or Minority, 168 for 2-Choices.
+#[derive(Debug)]
+struct PlanTable {
+    n: u64,
+    z: u64,
+    /// `keep` per state.
+    keep: Vec<Plan>,
+    /// `(flip_n, flip)` per state (the draw-free `(0, Const(0))` where the
+    /// flip component is empty); empty when it is empty at every state.
+    flip: Vec<(u64, Plan)>,
+}
+
+impl PlanTable {
+    /// Builds the plans of all `n + 1` states, serially.
+    fn build(kernel: &Kernel, n: u64, z: u64) -> Self {
+        let mut keep = Vec::with_capacity(n as usize + 1);
+        let mut flip = Vec::new();
+        for x in 0..=n {
+            let plans = StatePlans::build(kernel, n, z, x);
+            keep.push(plans.keep);
+            if plans.flip_n > 0 || !flip.is_empty() {
+                // The first state with a flip component back-fills the
+                // draw-free plans before it; afterwards `flip` already has
+                // length `x`.
+                flip.resize(x as usize, (0, Plan::Const(0)));
+                flip.push((plans.flip_n, plans.flip));
+            }
+        }
+        flip.shrink_to_fit();
+        Self { n, z, keep, flip }
+    }
+
+    /// [`RoundPlanCache::step`] with the plans read from the table and the
+    /// `ln(i!)` table supplied by the caller.
+    #[inline]
+    fn step(&self, x: u64, rng: &mut SimRng, lnfact: &[f64]) -> u64 {
+        let (flip_n, flip) = match self.flip.get(x as usize) {
+            Some((flip_n, flip)) => (*flip_n, Some(flip)),
+            None => (0, None),
+        };
+        let keep = self.keep[x as usize].sample_with(rng, self.n - 1 - flip_n, lnfact);
+        self.z + keep + flip.map_or(0, |flip| flip.sample_with(rng, flip_n, lnfact))
+    }
+
+    /// Heap bytes held by the plans.
+    #[cfg(test)]
+    fn heap_bytes(&self) -> usize {
+        self.keep.capacity() * std::mem::size_of::<Plan>()
+            + self.flip.capacity() * std::mem::size_of::<(u64, Plan)>()
+    }
+}
+
+/// The [`PlanTable`]s of one `(kernel, n)`, one per source opinion, read
+/// by one batch or shared by every shard of a replication call. The table
+/// for the start's `z` is built up front; the other on the first source
+/// flip that needs it.
+#[derive(Debug)]
+pub(crate) struct SharedPlans {
+    kernel: Arc<Kernel>,
+    n: u64,
+    by_z: [OnceLock<PlanTable>; 2],
+}
+
+impl SharedPlans {
+    /// Builds the table for source opinion `z`, or returns `None` when
+    /// `n + 1` exceeds [`TABLE_MAX_STATES`].
+    pub(crate) fn new(kernel: &Arc<Kernel>, n: u64, z: u64) -> Option<Arc<Self>> {
+        (n < TABLE_MAX_STATES).then(|| {
+            let plans =
+                Self { kernel: Arc::clone(kernel), n, by_z: [OnceLock::new(), OnceLock::new()] };
+            plans.table(z);
+            Arc::new(plans)
+        })
+    }
+
+    /// The table for source opinion `z`, built on first use.
+    fn table(&self, z: u64) -> &PlanTable {
+        self.by_z[z as usize].get_or_init(|| PlanTable::build(&self.kernel, self.n, z))
+    }
+}
+
+/// Where a lock-step batch reads its round plans.
+#[derive(Debug)]
+pub(crate) enum BatchPlans {
+    /// Dense tables, shared with the other shards of a replication call.
+    Shared(Arc<SharedPlans>),
+    /// A private direct-mapped cache.
+    Cache(RoundPlanCache),
+}
+
+impl BatchPlans {
+    /// Reads `shared` when given, else a fresh cache.
+    pub(crate) fn new(shared: Option<&Arc<SharedPlans>>) -> Self {
+        shared.map_or_else(
+            || BatchPlans::Cache(RoundPlanCache::new()),
+            |shared| BatchPlans::Shared(Arc::clone(shared)),
+        )
+    }
+
+    /// Advances every replica `(ones[i], rngs[i])` by one round under
+    /// source opinion `z`.
+    pub(crate) fn step_all(
+        &mut self,
+        kernel: &Kernel,
+        n: u64,
+        z: u64,
+        ones: &mut [u64],
+        rngs: &mut [SimRng],
+    ) {
+        match self {
+            BatchPlans::Shared(plans) => {
+                let table = plans.table(z);
+                with_lnfact(n, |lnfact| {
+                    for (x, rng) in ones.iter_mut().zip(rngs) {
+                        *x = table.step(*x, rng, lnfact);
+                    }
+                });
+            }
+            BatchPlans::Cache(cache) => {
+                for (x, rng) in ones.iter_mut().zip(rngs) {
+                    *x = cache.step(kernel, n, z, *x, rng);
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::binomial::sample_binomial;
     use crate::rng::rng_from;
-    use bitdissem_core::dynamics::{Minority, TwoChoices};
+    use bitdissem_core::dynamics::{Minority, TwoChoices, Voter};
     use bitdissem_core::ProtocolExt;
     use rand::Rng;
 
@@ -233,6 +393,93 @@ mod tests {
             xc = cold.step(&kernel, n, 0, xc, &mut b);
             assert_eq!(xw, xc, "stale z-plan served at round {round}");
         }
+    }
+
+    /// Voter, Minority(3) and 2-Choices at `n`: two one-draw kernels and
+    /// one two-draw kernel.
+    fn kernels(n: u64) -> Vec<Kernel> {
+        vec![
+            Voter::new(1).unwrap().to_table(n).unwrap().compile().unwrap(),
+            Minority::new(3).unwrap().to_table(n).unwrap().compile().unwrap(),
+            TwoChoices::new().to_table(n).unwrap().compile().unwrap(),
+        ]
+    }
+
+    /// Every table entry must draw exactly what the cache draws for the
+    /// same `(x, z)` — the same value and the same number of uniforms —
+    /// for both source opinions and at every state, the transient
+    /// out-of-band states `x < z` and `x + (1 − z) > n` included.
+    #[test]
+    fn table_matches_cache_at_every_state() {
+        let n = 96u64;
+        for kernel in &kernels(n) {
+            for z in [0u64, 1] {
+                let table = PlanTable::build(kernel, n, z);
+                let mut cache = RoundPlanCache::new();
+                for x in 0..=n {
+                    for seed in 0..4 {
+                        let mut a = rng_from(seed);
+                        let mut b = rng_from(seed);
+                        let from_table = with_lnfact(n, |lnfact| table.step(x, &mut a, lnfact));
+                        assert_eq!(from_table, cache.step(kernel, n, z, x, &mut b), "x={x} z={z}");
+                        assert_eq!(a.random::<u64>(), b.random::<u64>(), "draw count x={x} z={z}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A table built for one source opinion must never serve the other:
+    /// [`SharedPlans::table`] hands out the table built for the `z` asked
+    /// for, including the one built lazily after a flip.
+    #[test]
+    fn shared_tables_are_keyed_by_source_opinion() {
+        let n = 64u64;
+        for kernel in kernels(n) {
+            let kernel = Arc::new(kernel);
+            let shared = SharedPlans::new(&kernel, n, 1).expect("n is below the cap");
+            assert!(shared.by_z[0].get().is_none(), "the other table waits for a flip");
+            for z in [0u64, 1] {
+                let table = shared.table(z);
+                assert_eq!(table.z, z);
+                let mut cache = RoundPlanCache::new();
+                let (mut a, mut b) = (rng_from(3), rng_from(3));
+                let mut x = n / 2;
+                for _ in 0..200 {
+                    let next = with_lnfact(n, |lnfact| table.step(x, &mut a, lnfact));
+                    assert_eq!(next, cache.step(&kernel, n, z, x, &mut b), "z={z}");
+                    x = next;
+                }
+            }
+        }
+    }
+
+    /// One-draw kernels keep one plan per state (≤ 88 bytes); a two-draw
+    /// kernel also keeps the flip column.
+    #[test]
+    fn opinion_independent_tables_take_one_plan_per_state() {
+        let n = 1000u64;
+        let states = n as usize + 1;
+        let kernels = kernels(n);
+        for kernel in &kernels[..2] {
+            let table = PlanTable::build(kernel, n, 1);
+            assert!(table.flip.is_empty(), "no flip column for a one-draw kernel");
+            let per_state = table.heap_bytes() / states;
+            assert!(per_state <= 88, "{per_state} bytes per state");
+        }
+        let two_choices = PlanTable::build(&kernels[2], n, 1);
+        assert_eq!(two_choices.flip.len(), states);
+    }
+
+    /// Tables cover `n + 1 ≤ TABLE_MAX_STATES` states; one more state and
+    /// the batch falls back to its cache.
+    #[test]
+    fn tables_stop_at_the_state_cap() {
+        let voter = |n| Arc::new(Voter::new(1).unwrap().to_table(n).unwrap().compile().unwrap());
+        let last = TABLE_MAX_STATES - 1;
+        assert!(SharedPlans::new(&voter(last), last, 1).is_some());
+        let first_above = TABLE_MAX_STATES;
+        assert!(SharedPlans::new(&voter(first_above), first_above, 1).is_none());
     }
 
     /// States further apart than the slot count alias the same slot; the

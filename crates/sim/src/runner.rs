@@ -21,7 +21,10 @@ use std::sync::mpsc;
 use std::sync::Mutex;
 
 use bitdissem_obs::Obs;
-use bitdissem_pool::{effective_parallelism, Pool};
+/// The worker count `threads: None` resolves to, re-exported so callers
+/// can record it.
+pub use bitdissem_pool::effective_parallelism;
+use bitdissem_pool::Pool;
 
 use crate::rng::{replication_seed, rng_from, SimRng};
 
