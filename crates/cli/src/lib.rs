@@ -111,7 +111,7 @@ pub fn usage() -> String {
      usage:\n\
      \x20 bitdissem list\n\
      \x20 bitdissem run <experiment-id|all> [--scale smoke|standard|full] [--seed N]\n\
-     \x20\x20\x20\x20 [--threads T] [--engine batched|per-replica|wide] [--env SPEC] [--csv]\n\
+     \x20\x20\x20\x20 [--threads T] [--engine batched|per-replica] [--env SPEC] [--csv]\n\
      \x20\x20\x20\x20 [--trace-out PATH] [--trace-every N] [--metrics] [--progress]\n\
      \x20\x20\x20\x20 [--checkpoint-dir DIR] [--resume] [--telemetry-prom F] [--telemetry-out F]\n\
      \x20\x20\x20\x20 [--telemetry-socket S] [--telemetry-interval-ms N]\n\
@@ -190,8 +190,7 @@ pub fn usage() -> String {
      \x20 --checkpoint-dir D persist per-replication results to D/checkpoint.jsonl and\n\
      \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 run manifests to D/manifests.jsonl\n\
      \x20 --engine E         replication engine: 'batched' (lock-step fast path, default),\n\
-     \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 'per-replica' (reference; outcomes bit-identical to batched),\n\
-     \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 or 'wide' (counter-rng lanes; KS-gated vs the reference)\n\
+     \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 or 'per-replica' (reference; outcomes bit-identical to batched)\n\
      \x20 --resume           skip replications already in the checkpoint log\n\
      \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 (requires --checkpoint-dir; results stay bit-identical)\n\
      \n\
@@ -1660,6 +1659,16 @@ mod tests {
         let (out, status) = run_cli(&["exact", "stay", "--n", "16"]);
         assert_eq!(status, Status::Ok);
         assert!(out.contains("unreachable"), "{out}");
+    }
+
+    #[test]
+    fn run_rejects_the_retired_wide_engine() {
+        for engine in ["wide", "simd"] {
+            let (out, status) = run_cli(&["run", "e3", "--engine", engine]);
+            assert_eq!(status, Status::UsageError, "--engine {engine}: {out}");
+            assert_eq!(status.code(), 2);
+            assert!(out.contains("batched|per-replica"), "--engine {engine}: {out}");
+        }
     }
 
     #[test]

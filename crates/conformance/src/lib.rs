@@ -26,7 +26,7 @@
 //! * [`oracle`] admits the exact Markov chain as a *reference backend*:
 //!   i.i.d. draws from the exact law for the KS matrix, a deterministic
 //!   sparse~dense row comparison at small `n`, and Proposition-5-style
-//!   drift-band envelopes that gate the wide engine at `n` in the
+//!   drift-band envelopes that gate the batched engine at `n` in the
 //!   thousands, where replicated KS comparison is infeasible.
 //! * [`fault`] injects I/O failures — torn lines, short writes, transient
 //!   `Interrupted`/`WouldBlock` errors, a mid-batch kill — into the

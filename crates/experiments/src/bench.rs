@@ -8,10 +8,11 @@
 //!   parallel round = `n` agent activations);
 //! - `aggregate_rounds` — aggregate exact-chain simulator rounds per
 //!   second (the solo reference chain);
-//! - `aggregate_rounds_l<ℓ>` / `simd_rounds` / `sharded_rounds` — wide
-//!   replication-engine replica-rounds per second: lock-step batches on
-//!   counter-rng streams, without and with pool sharding (the engine
-//!   behind large convergence sweeps);
+//! - `aggregate_rounds_l<ℓ>` / `batched_rounds` / `sharded_rounds` —
+//!   batched replication-engine replica-rounds per second: lock-step
+//!   batches, without and with pool sharding (the engine behind every
+//!   convergence sweep); `sharded_rounds` over `batched_rounds` is the
+//!   driver-vs-bare ratio;
 //! - `markov_rowbuild` / `markov_matvec` — exact sparse-chain analytics:
 //!   ε-truncated transition rows built per second, and stored entries
 //!   consumed per second by full distribution steps (the hot loops behind
@@ -32,12 +33,11 @@ use bitdissem_core::{Configuration, Opinion, ProtocolExt};
 use bitdissem_markov::{AggregateChain, SparseChain};
 use bitdissem_obs::{CheckpointLog, ColumnarSink, Event, EventSink, JsonlSink, Obs, TraceFormat};
 use bitdissem_sim::aggregate::AggregateSim;
-use bitdissem_sim::batched::BatchedAggregateSim;
+use bitdissem_sim::batched::{replicate_batched_observed, BatchedAggregateSim};
 use bitdissem_sim::rng::{replication_seed, rng_from};
 use bitdissem_sim::run::Simulator;
 use bitdissem_sim::runner::replicate;
 use bitdissem_sim::sequential::SequentialSim;
-use bitdissem_sim::wide::{replicate_wide_observed, WideBatchedSim};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -147,16 +147,14 @@ fn bench_aggregate_rounds(ctx: &BenchCtx) -> BenchResult {
 }
 
 /// Replica-rounds per second at sample size `ell` (Minority dynamics) on
-/// the wide engine — the convergence-sweep hot path at its production
+/// the batched engine — the convergence-sweep hot path at its production
 /// shape: a lock-step batch of replicas hovering near the Minority-`ℓ`
 /// interior fixed point (`x₀ = n/2`), so nothing absorbs and every timed
-/// round exercises the full counter-rng + fused-alias-draw path.
+/// round exercises the full plan-table draw path.
 ///
-/// Earlier baselines for this id timed one solo chain (serially dependent
-/// draws); since the wide engine landed, the id reports the *sustained
-/// total* replica-rounds/sec of a batch — same unit, the engine actually
-/// used for ℓ-sweeps at scale. Warm-up stays outside the timed window so
-/// one-time plan builds are already paid.
+/// The id reports the *sustained total* replica-rounds/sec of a batch.
+/// Warm-up stays outside the timed window so one-time plan builds are
+/// already paid.
 ///
 /// This function produces the `telemetry_overhead_l<ℓ>` id in the same
 /// breath: the two legs alternate *per sample* — one telemetry-off
@@ -206,7 +204,7 @@ fn bench_aggregate_vs_telemetry(ctx: &BenchCtx, ell: usize) -> (BenchResult, Ben
             .collect();
         // Telemetry-off leg: the bare hot loop.
         let run_off = || {
-            let mut batch = WideBatchedSim::new(Arc::clone(&kernel), start, &streams);
+            let mut batch = BatchedAggregateSim::new(Arc::clone(&kernel), start, &streams);
             for _ in 0..rounds {
                 batch.step_round();
             }
@@ -236,7 +234,7 @@ fn bench_aggregate_vs_telemetry(ctx: &BenchCtx, ell: usize) -> (BenchResult, Ben
                 std::time::Duration::from_millis(250),
                 vec![Box::new(exporter) as Box<dyn bitdissem_obs::TelemetryExporter>],
             );
-            let mut batch = WideBatchedSim::new(Arc::clone(&kernel), start, &streams);
+            let mut batch = BatchedAggregateSim::new(Arc::clone(&kernel), start, &streams);
             let _ = batch.run_to_consensus_observed(rounds, &obs, &labels);
             let sample = throughput((timed * reps as u64) as f64, || {
                 let _ = batch.run_to_consensus_observed(rounds + timed, &obs, &labels);
@@ -272,39 +270,9 @@ fn bench_aggregate_vs_telemetry(ctx: &BenchCtx, ell: usize) -> (BenchResult, Ben
     )
 }
 
-/// Wide-engine lane throughput: total replica-rounds per second of one
-/// large lock-step [`WideBatchedSim`] batch (hovering Minority ℓ = 5), the
-/// `simd_rounds` group gating the lane/fused-draw path in isolation —
-/// counter-word generation, step-cache hits, and alias draws, no pool.
-fn bench_simd_rounds(ctx: &BenchCtx) -> BenchResult {
-    let n = ctx.scale.pick(1024u64, 4096, 16_384);
-    let rounds = ctx.scale.pick(200u64, 1000, 5000);
-    let reps = 512usize;
-    let minority = Minority::new(5).expect("odd ell >= 1");
-    let kernel = Arc::new(minority.to_table(n).expect("valid").compile().expect("compiles"));
-    let start = Configuration::new(n, Opinion::One, n / 2).expect("x0 <= n");
-    let samples = (0..ctx.samples())
-        .map(|i| {
-            let streams: Vec<u64> = (0..reps)
-                .map(|rep| replication_seed(ctx.seed ^ 0x51D0, (i * reps + rep) as u64))
-                .collect();
-            let mut batch = WideBatchedSim::new(Arc::clone(&kernel), start, &streams);
-            for _ in 0..rounds {
-                batch.step_round();
-            }
-            throughput((rounds * reps as u64) as f64, || {
-                for _ in 0..rounds {
-                    batch.step_round();
-                }
-                assert_eq!(batch.round(), 2 * rounds);
-            })
-        })
-        .collect();
-    BenchResult { id: "simd_rounds".to_string(), unit: "rounds_per_sec", samples }
-}
-
-/// Sharded wide-engine throughput: total replica-rounds per second through
-/// [`replicate_wide_observed`] — the full production driver, pool sharding
+/// Sharded batched-engine throughput: total replica-rounds per second
+/// through [`replicate_batched_observed`] — the full production driver,
+/// shared plan-table build and pool sharding
 /// included. The hovering Minority start never absorbs, so every
 /// replication runs its whole budget and the workload is exactly
 /// `reps · budget` replica-rounds regardless of seed.
@@ -320,7 +288,7 @@ fn bench_sharded_rounds(ctx: &BenchCtx) -> BenchResult {
     let samples = (0..ctx.samples())
         .map(|_| {
             throughput((budget * reps as u64) as f64, || {
-                let out = replicate_wide_observed(
+                let out = replicate_batched_observed(
                     &kernel,
                     start,
                     &indices,
@@ -586,10 +554,6 @@ pub fn run_all(ctx: &BenchCtx, obs: &Obs) -> Vec<BenchResult> {
         results.push(bench_batched_rounds(ctx));
     }
     {
-        let _span = obs.span("bench/simd_rounds");
-        results.push(bench_simd_rounds(ctx));
-    }
-    {
         let _span = obs.span("bench/sharded_rounds");
         results.push(bench_sharded_rounds(ctx));
     }
@@ -655,7 +619,6 @@ mod tests {
                 "kernel_eval_l3",
                 "kernel_eval_l5",
                 "batched_rounds",
-                "simd_rounds",
                 "sharded_rounds",
                 "markov_rowbuild",
                 "markov_matvec",

@@ -65,10 +65,7 @@ impl std::str::FromStr for Scale {
 /// The batched and per-replica engines are bit-identical per replication
 /// (each replication's RNG derives from its index alone), so the choice
 /// between them affects throughput only —
-/// `workload::tests::engines_agree_bit_for_bit` pins the equivalence. The
-/// wide engine draws from counter-based streams instead and is equivalent
-/// in law but **not** bit-comparable; the conformance KS gates admit it
-/// against the reference backends.
+/// `workload::tests::engines_agree_bit_for_bit` pins the equivalence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
 pub enum ReplicationEngine {
     /// Lock-step batched simulation: chunks of replicas advance round by
@@ -80,10 +77,6 @@ pub enum ReplicationEngine {
     /// One simulator per replication over the generic pool path. Kept as
     /// the executable reference the batched engine is proven against.
     PerReplica,
-    /// Counter-rng lane engine: fused one-word alias draws, sharded over
-    /// the pool. The throughput engine for large sweeps (KS-gated, not
-    /// bit-identical to the other two).
-    Wide,
 }
 
 impl ReplicationEngine {
@@ -94,7 +87,6 @@ impl ReplicationEngine {
         match self {
             ReplicationEngine::Batched => "batched",
             ReplicationEngine::PerReplica => "per-replica",
-            ReplicationEngine::Wide => "wide",
         }
     }
 }
@@ -112,8 +104,7 @@ impl std::str::FromStr for ReplicationEngine {
         match s.to_ascii_lowercase().as_str() {
             "batched" => Ok(ReplicationEngine::Batched),
             "per-replica" | "per_replica" | "perreplica" => Ok(ReplicationEngine::PerReplica),
-            "wide" | "simd" => Ok(ReplicationEngine::Wide),
-            other => Err(format!("unknown engine '{other}' (batched|per-replica|wide)")),
+            other => Err(format!("unknown engine '{other}' (batched|per-replica)")),
         }
     }
 }
@@ -229,9 +220,7 @@ mod tests {
 
     #[test]
     fn engine_parses_and_round_trips() {
-        for engine in
-            [ReplicationEngine::Batched, ReplicationEngine::PerReplica, ReplicationEngine::Wide]
-        {
+        for engine in [ReplicationEngine::Batched, ReplicationEngine::PerReplica] {
             assert_eq!(ReplicationEngine::from_str(engine.name()).unwrap(), engine);
             assert_eq!(engine.to_string(), engine.name());
         }
@@ -239,7 +228,9 @@ mod tests {
             ReplicationEngine::from_str("per_replica").unwrap(),
             ReplicationEngine::PerReplica
         );
-        assert_eq!(ReplicationEngine::from_str("simd").unwrap(), ReplicationEngine::Wide);
-        assert!(ReplicationEngine::from_str("bogus").is_err());
+        for retired in ["wide", "simd", "bogus"] {
+            let err = ReplicationEngine::from_str(retired).unwrap_err();
+            assert!(err.contains("batched|per-replica"), "{err}");
+        }
     }
 }

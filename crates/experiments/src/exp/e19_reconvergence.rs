@@ -192,10 +192,9 @@ mod tests {
     #[test]
     fn custom_env_schedule_rides_along_without_breaking_checks() {
         // A user `--env` schedule is charted observationally and must not
-        // flip the directional checks; the wide engine drives the batch.
+        // flip the directional checks.
         let env: EnvSchedule = "noise:0.05".parse().unwrap();
-        let cfg =
-            RunConfig::smoke(23).with_env(env).with_engine(crate::config::ReplicationEngine::Wide);
+        let cfg = RunConfig::smoke(23).with_env(env);
         let report = run(&cfg, &Obs::none());
         assert!(report.pass, "{}", report.render());
         assert!(report.render().contains("noise:0.05"), "custom schedule is charted");

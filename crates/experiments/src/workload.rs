@@ -21,7 +21,6 @@ use bitdissem_sim::run::{
 };
 use bitdissem_sim::runner::replicate_indices_observed;
 use bitdissem_sim::sequential::SequentialSim;
-use bitdissem_sim::wide::{replicate_wide_env_observed, replicate_wide_observed};
 use bitdissem_stats::Summary;
 
 use crate::config::ReplicationEngine;
@@ -353,10 +352,8 @@ where
 /// table materialization) and derives each replication's randomness from
 /// its index alone, so the outcome vector is bit-deterministic across
 /// thread counts and checkpoint splicing. The batched and per-replica
-/// engines are additionally bit-identical to *each other*; the wide engine
-/// draws from counter-based streams (equivalent in law, KS-gated in
-/// conformance) and therefore checkpoints under a distinct batch-key kind
-/// — cached outcomes never splice across the stream boundary.
+/// engines are additionally bit-identical to *each other*, so they share
+/// one checkpoint kind and a sweep may resume on either.
 #[allow(clippy::too_many_arguments)]
 #[must_use]
 pub fn measure_convergence_engine_observed<P>(
@@ -379,7 +376,7 @@ where
 /// every replication perturbs between rounds per `env`, on any engine. An
 /// inert schedule degenerates to the static measurement (same checkpoint
 /// kind, same outcomes); an active one checkpoints under the env-suffixed
-/// kinds `conv+env[<fp>]` / `conv+wide+env[<fp>]`, so cached static-run
+/// kind `conv+env[<fp>]`, so cached static-run
 /// outcomes can never splice into a dynamic sweep on resume (or vice
 /// versa).
 #[allow(clippy::too_many_arguments)]
@@ -417,22 +414,16 @@ fn measure_convergence_inner<P>(
 where
     P: Protocol + Sync + ?Sized,
 {
-    // The wide engine's draws come from a different randomness stream, and
-    // an active environment schedule changes the law outright — each gets
-    // its own checkpoint kind so caches never splice across either
-    // boundary.
-    let kind = match (engine == ReplicationEngine::Wide, env) {
-        (false, None) => "conv".to_string(),
-        (true, None) => "conv+wide".to_string(),
-        (false, Some(env)) => format!("conv+env[{}]", env.fingerprint()),
-        (true, Some(env)) => format!("conv+wide+env[{}]", env.fingerprint()),
+    // An active environment schedule changes the law outright, so it gets
+    // its own checkpoint kind and caches never splice across the boundary.
+    // The trace header carries the same kind: the offline trace checker
+    // validates any "conv" batch against the static law and skips env
+    // batches — a perturbed trajectory does not follow the unperturbed law.
+    let kind = match env {
+        None => "conv".to_string(),
+        Some(env) => format!("conv+env[{}]", env.fingerprint()),
     };
-    // Trace headers: static batches stay "conv" whatever the engine (the
-    // offline trace checker validates any "conv" batch against the static
-    // law); env batches advertise their schedule so the checker skips them
-    // — a perturbed trajectory does not follow the unperturbed law.
-    let emit_kind = if env.is_some() { kind.as_str() } else { "conv" };
-    emit_batch_started(obs, emit_kind, protocol, start, reps, budget, seed);
+    emit_batch_started(obs, &kind, protocol, start, reps, budget, seed);
     let kernel = compile_kernel(protocol, start.n());
     let key_base = || batch_key(&kind, protocol, start, budget, seed);
     let outcomes = match engine {
@@ -457,16 +448,6 @@ where
                 }
             })
         }),
-        ReplicationEngine::Wide => {
-            replicate_checkpointed(obs, key_base, reps, |missing| match env {
-                Some(env) => replicate_wide_env_observed(
-                    &kernel, start, missing, seed, threads, budget, env, obs,
-                ),
-                None => {
-                    replicate_wide_observed(&kernel, start, missing, seed, threads, budget, obs)
-                }
-            })
-        }
     };
     OutcomeBatch::new(outcomes, budget)
 }
@@ -930,68 +911,27 @@ mod tests {
     }
 
     #[test]
-    fn wide_engine_is_deterministic_and_never_splices_other_engines() {
-        // The wide engine draws from counter streams, so (a) its outcome
-        // vector is identical for every thread count, and (b) its
-        // checkpoints live under "conv+wide" — a cache written by the
-        // batched engine must yield zero hits when resuming wide.
+    fn per_replica_resumes_from_a_batched_cache() {
+        // The converse splice: a cache written by the batched engine serves
+        // a per-replica resume in full, at another thread count, and the
+        // resumed outcomes equal a fresh per-replica run.
         use bitdissem_obs::CheckpointLog;
         use std::sync::Arc as StdArc;
         let voter = Voter::new(1).unwrap();
         let start = Configuration::all_wrong(24, Opinion::One);
-        let obs = Obs::none();
-        let wide_a = measure_convergence_engine_observed(
-            &obs,
-            ReplicationEngine::Wide,
-            &voter,
-            start,
-            10,
-            100_000,
-            7,
-            Some(1),
-        );
-        let wide_b = measure_convergence_engine_observed(
-            &obs,
-            ReplicationEngine::Wide,
-            &voter,
-            start,
-            10,
-            100_000,
-            7,
-            Some(3),
-        );
-        assert_eq!(wide_a.outcomes(), wide_b.outcomes());
+        let run = |obs: &Obs, engine, threads| {
+            measure_convergence_engine_observed(obs, engine, &voter, start, 10, 100_000, 7, threads)
+        };
+        let fresh = run(&Obs::none(), ReplicationEngine::PerReplica, Some(1));
 
         let log = StdArc::new(CheckpointLog::in_memory());
         let obs = Obs::none().with_metrics().with_checkpoint(StdArc::clone(&log));
-        let _ = measure_convergence_engine_observed(
-            &obs,
-            ReplicationEngine::Batched,
-            &voter,
-            start,
-            10,
-            100_000,
-            7,
-            Some(2),
-        );
+        let _ = run(&obs, ReplicationEngine::Batched, Some(2));
         assert_eq!(log.len(), 10);
-        let wide_fresh = measure_convergence_engine_observed(
-            &obs,
-            ReplicationEngine::Wide,
-            &voter,
-            start,
-            10,
-            100_000,
-            7,
-            Some(2),
-        );
-        assert_eq!(
-            obs.metrics().checkpoint_hits.load(std::sync::atomic::Ordering::Relaxed),
-            0,
-            "wide must not resume from another engine's cache"
-        );
-        assert_eq!(log.len(), 20, "wide appends its own records under conv+wide");
-        assert_eq!(wide_fresh.outcomes(), wide_a.outcomes());
+        let resumed = run(&obs, ReplicationEngine::PerReplica, Some(3));
+        assert_eq!(obs.metrics().checkpoint_hits.load(std::sync::atomic::Ordering::Relaxed), 10);
+        assert_eq!(log.len(), 10, "a full hit appends nothing");
+        assert_eq!(resumed.outcomes(), fresh.outcomes());
     }
 
     #[test]
@@ -1078,8 +1018,8 @@ mod tests {
 
     #[test]
     fn env_engines_agree_on_convergence_law_smoke() {
-        // The env path is runnable on every engine; batched and
-        // per-replica are bit-identical even under perturbations.
+        // The env path is runnable on both engines, and they stay
+        // bit-identical under perturbations.
         let voter = Voter::new(1).unwrap();
         let start = Configuration::all_wrong(24, Opinion::One);
         let env: EnvSchedule = "reset:k=2@every:40".parse().unwrap();
@@ -1107,19 +1047,7 @@ mod tests {
             Some(3),
         );
         assert_eq!(batched.outcomes(), reference.outcomes());
-        let wide = measure_convergence_env_observed(
-            &obs,
-            ReplicationEngine::Wide,
-            &env,
-            &voter,
-            start,
-            8,
-            100_000,
-            13,
-            Some(2),
-        );
-        assert_eq!(wide.len(), 8);
-        assert!(wide.converged_fraction() > 0.0, "wide env runs converge too");
+        assert!(batched.converged_fraction() > 0.0, "env runs converge too");
     }
 
     #[test]

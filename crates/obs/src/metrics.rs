@@ -28,8 +28,8 @@ pub enum LatencyId {
 }
 
 /// Stride at which engine round loops time a [`LatencyId::RoundPass`]:
-/// every `LATENCY_SAMPLE_EVERY`-th round, not every round. A wide-engine
-/// round is a few microseconds, and the two `Instant::now()` calls
+/// every `LATENCY_SAMPLE_EVERY`-th round, not every round. A lock-step
+/// batch round is a few microseconds, and the two `Instant::now()` calls
 /// bracketing it cost ~2-3% of the round on hosts with a slow clock
 /// source — systematic 1-in-8 sampling keeps the quantiles unbiased
 /// (round costs drift smoothly, they don't oscillate at the stride) while
@@ -76,7 +76,7 @@ pub struct Metrics {
     /// Replications satisfied from the checkpoint log instead of re-run.
     pub checkpoint_hits: Counter,
     /// Replicas retired (reached consensus / budget) inside the batched
-    /// and wide lock-step engines.
+    /// lock-step engine.
     pub replicas_retired: Counter,
     /// Environment perturbation events applied (source flips, noise
     /// rounds, adversarial resets) across all replications.

@@ -47,7 +47,6 @@ pub mod consensus;
 pub mod dual;
 pub mod env;
 pub mod hypergeometric;
-mod lockstep;
 pub mod partial;
 pub mod rng;
 mod roundplan;
@@ -56,7 +55,6 @@ pub mod runner;
 pub mod sequential;
 pub mod stateful;
 pub mod trajectory;
-pub mod wide;
 
 pub use agent::AgentSim;
 pub use aggregate::AggregateSim;
@@ -71,4 +69,3 @@ pub use run::{
     Simulator, StabilityOutcome,
 };
 pub use runner::{replicate, replicate_indices_observed, replicate_observed, replicate_spawn};
-pub use wide::{replicate_wide_env_observed, replicate_wide_observed, WideBatchedSim};
